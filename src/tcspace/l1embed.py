@@ -23,6 +23,8 @@ from .transport import TransportationProblem, tc_norm
 _ZERO = Fraction(0)
 
 SIGN_SWEEP_PAIR_LIMIT = 12
+# C(50, 4) = 230,300 quadruples
+QUADRUPLE_INDEX_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,13 @@ class SignPatternReport:
     On failure ``pattern`` is the first violating sign vector in
     lexicographic order (+1 before -1) and ``achieved`` the strictly
     smaller norm that was found; ``expected`` is always the coefficient
-    total.
+    total.  ``patterns_checked`` is the 1-based position of that pattern
+    in the order, or ``2**k`` when the sweep passes.
+
+    The sweep uses the sign symmetry tc(-f) = tc(f): a pattern and its
+    negation have the same norm, and the negation of a pattern with
+    ``eps[0] = +1`` comes later in the order.  So only the first half is
+    computed, and the report equals that of the full sweep.
     """
 
     passed: bool
@@ -75,18 +83,19 @@ def sign_pattern_isometry_check(
         coeffs[i] / space.dist[x][y] for i, (x, y) in enumerate(pairs.pairs)
     ]
     expected = sum(coeffs, _ZERO)
-    checked = 0
-    for eps in itertools.product((1, -1), repeat=k):
+    # eps[0] = +1 only: -eps has the same norm and comes later (see
+    # SignPatternReport)
+    for checked, rest in enumerate(itertools.product((1, -1), repeat=k - 1), 1):
+        eps = (1, *rest)
         values: dict[int, Fraction] = {}
         for (x, y), s, m in zip(pairs.pairs, eps, masses):
             signed = m if s > 0 else -m
             values[x] = values.get(x, _ZERO) + signed
             values[y] = values.get(y, _ZERO) - signed
         norm, _ = tc_norm(space, TransportationProblem.from_values(values))
-        checked += 1
         if norm != expected:
             return SignPatternReport(False, checked, expected, eps, norm)
-    return SignPatternReport(True, checked, expected)
+    return SignPatternReport(True, 2**k, expected)
 
 
 @dataclass(frozen=True)
@@ -105,9 +114,15 @@ def quadruple_inequality_check(family_tag: str, max_index: int) -> QuadrupleRepo
 
     Quadruples q1 < q2 < q3 < q4 range over the 1-based family indices
     up to ``max_index``; any non-strict case is collected as a violation.
+    ``max_index`` is capped at ``QUADRUPLE_INDEX_LIMIT``.
     """
     if max_index < 4:
         raise ValueError("quadruple sweep needs max_index >= 4")
+    if max_index > QUADRUPLE_INDEX_LIMIT:
+        raise ValueError(
+            "max_index too large for the quadruple sweep "
+            f"(limit {QUADRUPLE_INDEX_LIMIT})"
+        )
     space = family_metric(family_tag, max_index)
     d = space.dist
     violations = []

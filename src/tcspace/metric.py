@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import ParseError, data_lines, format_rational, parse_rational
+from .rationals import (
+    ParseError,
+    data_lines,
+    exact_rational,
+    format_rational,
+    parse_rational,
+)
 
 FAMILY_TAGS = ("a", "b", "c", "d", "e")
 
@@ -32,13 +38,18 @@ class NotAMetricError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """n points with a symmetric, fully validated rational distance matrix."""
+    """n points with a symmetric, fully validated rational distance matrix.
+
+    Entries are converted to ``Fraction`` on construction; ``float`` and
+    ``bool`` entries are refused.
+    """
 
     dist: tuple[tuple[Fraction, ...], ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        d = self.dist
+        d = tuple(tuple(exact_rational(x) for x in row) for row in self.dist)
+        object.__setattr__(self, "dist", d)
         n = len(d)
         for row in d:
             if len(row) != n:
@@ -70,7 +81,7 @@ class FiniteMetricSpace:
     def from_matrix(
         cls, rows: Iterable[Iterable], labels: Iterable[str] | None = None
     ) -> "FiniteMetricSpace":
-        dist = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        dist = tuple(tuple(row) for row in rows)
         return cls(dist, None if labels is None else tuple(labels))
 
     @property

@@ -17,7 +17,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .metric import FiniteMetricSpace
-from .rationals import ParseError, data_lines, format_rational, parse_rational
+from .rationals import (
+    ParseError,
+    data_lines,
+    exact_rational,
+    format_rational,
+    parse_rational,
+)
 from .solvers import GE, LinearProgram, least_squares_exact, simplex_solve
 from .transport import TransportPlan, TransportationProblem
 
@@ -30,7 +36,8 @@ Edge = tuple[int, int]
 class EdgeVector:
     """Rational values on the edges of the complete graph on ``n`` points.
 
-    Keys are ``(i, j)`` with ``0 <= i < j < n``.  Entries are merged,
+    Keys are ``(i, j)`` with ``int`` indices (``bool`` is refused) and
+    ``0 <= i < j < n``.  Entries are merged,
     zero values dropped, and the support sorted on construction.
     """
 
@@ -42,9 +49,10 @@ class EdgeVector:
             raise ValueError("ambient point count must be >= 1")
         merged: dict[Edge, Fraction] = {}
         for (i, j), val in self.entries:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad edge ({i}, {j}) for n={self.n}")
-            merged[(i, j)] = merged.get((i, j), _ZERO) + Fraction(val)
+            ints = all(isinstance(p, int) and not isinstance(p, bool) for p in (i, j))
+            if not (ints and 0 <= i < j < self.n):
+                raise ValueError(f"bad edge ({i!r}, {j!r}) for n={self.n}")
+            merged[(i, j)] = merged.get((i, j), _ZERO) + exact_rational(val)
         cleaned = tuple(sorted((e, v) for e, v in merged.items() if v != 0))
         object.__setattr__(self, "entries", cleaned)
 

@@ -1,8 +1,9 @@
-"""Shared plumbing for the plain-text file formats.
+"""Shared plumbing for the plain-text file formats and the exact API boundary.
 
 Every number in the formats is an exact rational written as ``p`` or
 ``p/q``; nothing is routed through floating point.  All formats allow
-``#`` comments and blank lines.
+``#`` comments and blank lines.  Values handed to the constructors go
+through :func:`exact_rational`, which refuses ``float`` and ``bool``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,23 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {token!r}") from None
+
+
+def exact_rational(value) -> Fraction:
+    """``Fraction(value)`` for an exact value: int, Fraction or ``'p/q'``.
+
+    ``float`` is refused because it carries binary rounding (``0.1``
+    would become ``3602879701896397/36028797018963968``), and ``bool``
+    because it is not a number.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise ValueError(
+            f"{value!r} is a {type(value).__name__}; "
+            "expected an exact rational (int, Fraction or 'p/q' string)"
+        )
+    return Fraction(value)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -1,18 +1,24 @@
 """Exact optimization kernels shared by the rest of the package.
 
-Three primitives, all over arbitrary-precision rationals
-(``fractions.Fraction``): a two-phase simplex solver using Bland's
+Three primitives, all exact: a two-phase simplex solver using Bland's
 anti-cycling rule, a successive-shortest-path minimum-cost flow solver
 with node potentials, and a least-squares solver working through the
-normal equations.  Every tie is broken by lowest index, so results are
-deterministic, and no step ever rounds.
+normal equations.  Inputs and results are ``fractions.Fraction``.  The
+simplex and least-squares kernels compute in ``Fraction``; the flow
+kernel scales its amounts and its costs to integers by one common
+denominator each, runs on ``int``, and divides back once.  Every tie is
+broken by lowest index, so results are deterministic, and no step ever
+rounds.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .rationals import exact_rational
 
 # The rational carrier for the whole package.  ``fractions.Fraction``
 # already guarantees lowest terms, positive denominators and exact
@@ -39,10 +45,6 @@ class UnboundedError(Exception):
     """The objective is unbounded below on the feasible region."""
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 class LinearProgram:
     """A minimization LP: objective, rows ``(coeffs, relation, rhs)``, bounds.
 
@@ -59,23 +61,28 @@ class LinearProgram:
         constraints: Iterable[tuple],
         bounds: Sequence[tuple[Bound, Bound]] | None = None,
     ):
-        self.objective: tuple[Fraction, ...] = tuple(_frac(c) for c in objective)
+        self.objective: tuple[Fraction, ...] = tuple(
+            exact_rational(c) for c in objective
+        )
         nvars = len(self.objective)
         rows = []
         for coeffs, relation, rhs in constraints:
-            coeffs = tuple(_frac(a) for a in coeffs)
+            coeffs = tuple(exact_rational(a) for a in coeffs)
             if len(coeffs) != nvars:
                 raise ValueError("constraint row length differs from objective length")
             if relation not in _RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
-            rows.append((coeffs, relation, _frac(rhs)))
+            rows.append((coeffs, relation, exact_rational(rhs)))
         self.constraints: tuple = tuple(rows)
         if bounds is None:
             bounds = [(None, None)] * nvars
         if len(bounds) != nvars:
             raise ValueError("bounds length differs from objective length")
         self.bounds: tuple = tuple(
-            (None if lo is None else _frac(lo), None if hi is None else _frac(hi))
+            (
+                None if lo is None else exact_rational(lo),
+                None if hi is None else exact_rational(hi),
+            )
             for lo, hi in bounds
         )
 
@@ -292,7 +299,7 @@ class FlowNetwork:
     __slots__ = ("supplies", "arcs")
 
     def __init__(self, supplies: Iterable, arcs: Iterable[tuple]):
-        self.supplies: tuple[Fraction, ...] = tuple(_frac(s) for s in supplies)
+        self.supplies: tuple[Fraction, ...] = tuple(exact_rational(s) for s in supplies)
         if sum(self.supplies, _ZERO) != 0:
             raise ValueError("supplies must sum to zero")
         n = len(self.supplies)
@@ -302,11 +309,11 @@ class FlowNetwork:
                 raise ValueError(f"arc ({tail}, {head}) out of node range")
             if tail == head:
                 raise ValueError(f"arc ({tail}, {head}) is a self-loop")
-            cost = _frac(cost)
+            cost = exact_rational(cost)
             if cost < 0:
                 raise ValueError("arc costs must be nonnegative")
             if capacity is not None:
-                capacity = _frac(capacity)
+                capacity = exact_rational(capacity)
                 if capacity < 0:
                     raise ValueError("arc capacities must be nonnegative")
             cleaned.append((tail, head, cost, capacity))
@@ -320,17 +327,27 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
     super-sink.  Node potentials keep every residual reduced cost
     nonnegative, so Dijkstra remains valid after each augmentation.
     Raises ``InfeasibleError`` when the supplies cannot be routed.
+
+    The loop runs on ``int`` only.  Supplies and capacities are scaled
+    by the lcm ``S`` of their denominators, costs by the lcm ``D`` of
+    theirs; scaling by positive constants keeps every comparison, so
+    the augmenting paths are the ones the rational loop would take.
+    Flows come back as ``f / S`` and the total as ``sum f*c / (S*D)``.
     """
     n = len(net.supplies)
     source, sink = n, n + 1
     nn = n + 2
 
+    amounts = [*net.supplies, *(cap for *_, cap in net.arcs if cap is not None)]
+    scale = math.lcm(*(a.denominator for a in amounts))
+    cost_scale = math.lcm(*(arc[2].denominator for arc in net.arcs))
+
     to: list[int] = []
-    rcost: list[Fraction] = []
-    remain: list[Fraction | None] = []
+    rcost: list[int] = []
+    remain: list[int | None] = []
     adj: list[list[int]] = [[] for _ in range(nn)]
 
-    def add_arc(u: int, v: int, cost: Fraction, cap: Fraction | None) -> None:
+    def add_arc(u: int, v: int, cost: int, cap: int | None) -> None:
         adj[u].append(len(to))
         to.append(v)
         rcost.append(cost)
@@ -338,25 +355,31 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
         adj[v].append(len(to))
         to.append(u)
         rcost.append(-cost)
-        remain.append(_ZERO)
+        remain.append(0)
 
     for tail, head, cost, cap in net.arcs:
-        add_arc(tail, head, cost, cap)
-    required = _ZERO
+        add_arc(
+            tail,
+            head,
+            cost.numerator * (cost_scale // cost.denominator),
+            None if cap is None else cap.numerator * (scale // cap.denominator),
+        )
+    required = 0
     for v, s in enumerate(net.supplies):
+        s = s.numerator * (scale // s.denominator)
         if s > 0:
-            add_arc(source, v, _ZERO, s)
+            add_arc(source, v, 0, s)
             required += s
         elif s < 0:
-            add_arc(v, sink, _ZERO, -s)
+            add_arc(v, sink, 0, -s)
 
-    potential = [_ZERO] * nn
-    delivered = _ZERO
+    potential = [0] * nn
+    delivered = 0
     while delivered < required:
-        dist: list[Fraction | None] = [None] * nn
+        dist: list[int | None] = [None] * nn
         parent = [-1] * nn
-        dist[source] = _ZERO
-        heap: list[tuple[Fraction, int]] = [(_ZERO, source)]
+        dist[source] = 0
+        heap: list[tuple[int, int]] = [(0, source)]
         while heap:
             d_u, u = heapq.heappop(heap)
             if d_u > dist[u]:
@@ -395,9 +418,10 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
                 potential[v] += dist[v]
         delivered += bottleneck
 
-    flows = tuple(remain[2 * idx + 1] for idx in range(len(net.arcs)))
-    total = sum((f * arc[2] for f, arc in zip(flows, net.arcs)), _ZERO)
-    return total, flows
+    scaled = [remain[2 * idx + 1] for idx in range(len(net.arcs))]
+    total = sum(f * rcost[2 * idx] for idx, f in enumerate(scaled))
+    flows = tuple(Fraction(f, scale) for f in scaled)
+    return Fraction(total, scale * cost_scale), flows
 
 
 def least_squares_exact(
@@ -416,8 +440,8 @@ def least_squares_exact(
     for row in rows:
         if len(row) != k:
             raise ValueError("ragged matrix")
-        mat.append([_frac(a) for a in row])
-    b = [_frac(t) for t in target]
+        mat.append([exact_rational(a) for a in row])
+    b = [exact_rational(t) for t in target]
 
     # normal equations G x = g, reduced to RREF with exact pivots
     aug: list[list[Fraction]] = []

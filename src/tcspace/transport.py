@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .metric import FiniteMetricSpace
-from .rationals import ParseError, data_lines, format_rational, parse_rational
+from .rationals import (
+    ParseError,
+    data_lines,
+    exact_rational,
+    format_rational,
+    parse_rational,
+)
 from .solvers import EQ, FlowNetwork, LinearProgram, min_cost_flow, simplex_solve
 
 _ZERO = Fraction(0)
@@ -43,7 +49,7 @@ class TransportationProblem:
         for v, a in self.entries:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"point index must be a nonnegative int, got {v!r}")
-            merged[v] = merged.get(v, _ZERO) + Fraction(a)
+            merged[v] = merged.get(v, _ZERO) + exact_rational(a)
         cleaned = tuple(sorted((v, a) for v, a in merged.items() if a != 0))
         if sum((a for _, a in cleaned), _ZERO) != 0:
             raise NotZeroSumError("values must sum to zero")

@@ -84,6 +84,17 @@ def clustered_pair_sequence(rng, count: int):
     return line_space(coords), PairSequence(tuple(pairs))
 
 
+# pairwise coprime, so every common denominator is a product of them
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137)
+
+
+def over_a_prime(lo: int, hi: int):
+    """Rationals p/q in [lo, hi] whose denominator q is drawn from PRIMES."""
+    return st.sampled_from(PRIMES).flatmap(
+        lambda q: st.integers(lo * q, hi * q).map(lambda p: Fraction(p, q))
+    )
+
+
 @st.composite
 def metric_spaces(draw, min_n: int = 3, max_n: int = 6) -> FiniteMetricSpace:
     """Spaces with all distances in [1, 2]: triangles hold automatically."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tcspace import l1embed
 from tcspace.cli import run
 
 LINE_METRIC = "3\n1 3\n2\n"
@@ -160,6 +161,14 @@ class TestEmbeddingVerbs:
 
     def test_quad_check_rejects_small_max(self, capsys):
         assert run(["quad-check", "--family", "b", "--max", "3"]) == 2
+
+    def test_quad_check_budget_exits_at_once(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("family space built past the size budget")
+
+        monkeypatch.setattr(l1embed, "family_metric", refuse)
+        assert run(["quad-check", "--family", "b", "--max", "200"]) == 2
+        assert "limit" in capsys.readouterr().err
 
 
 class TestFamilyVerb:

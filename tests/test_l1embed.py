@@ -1,5 +1,6 @@
 """Sign-pattern isometry sweeps, quadruple inequalities, refutations."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,18 +11,41 @@ from hypothesis import strategies as st
 from tcspace import (
     FAMILY_TAGS,
     PairSequence,
+    TransportationProblem,
     nested_matching_check,
     quadruple_inequality_check,
     refute_pair_sequence,
     sign_pattern_isometry_check,
+    tc_norm,
 )
-from tcspace import family_distance, family_metric
-from tcspace.l1embed import SIGN_SWEEP_PAIR_LIMIT
+from tcspace import family_distance, family_metric, l1embed
+from tcspace.l1embed import (
+    QUADRUPLE_INDEX_LIMIT,
+    SIGN_SWEEP_PAIR_LIMIT,
+    SignPatternReport,
+)
 
 from helpers import clustered_pair_sequence, line_space, metric_spaces
 
 FAR_PAIRS = line_space([0, 1, 10, 11])
 TWO_PAIRS = PairSequence(((0, 1), (2, 3)))
+
+
+def full_sweep(space, pairs, coefficients=None) -> SignPatternReport:
+    """Reference sweep over all 2**k patterns, lexicographic with +1 first."""
+    k = len(pairs)
+    coeffs = [F(1)] * k if coefficients is None else [F(a) for a in coefficients]
+    masses = [a / space.d(x, y) for a, (x, y) in zip(coeffs, pairs.pairs)]
+    expected = sum(coeffs, F(0))
+    for checked, eps in enumerate(itertools.product((1, -1), repeat=k), 1):
+        values = {}
+        for (x, y), s, m in zip(pairs.pairs, eps, masses):
+            values[x] = values.get(x, F(0)) + s * m
+            values[y] = values.get(y, F(0)) - s * m
+        norm, _ = tc_norm(space, TransportationProblem.from_values(values))
+        if norm != expected:
+            return SignPatternReport(False, checked, expected, eps, norm)
+    return SignPatternReport(True, 2**k, expected)
 
 
 class TestSignSweep:
@@ -79,6 +103,64 @@ class TestSignSweep:
         assert report.passed
         assert report.patterns_checked == 2**count
         assert report.expected == sum(coeffs, F(0))
+        assert report == full_sweep(space, pairs, coeffs)
+
+
+class TestHalvedSweepMatchesFullSweep:
+    """Only patterns with eps[0] = +1 are computed; the report must not tell."""
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((0, 1), (2, 3)),
+            ((0, 1), (2, 3), (4, 5)),
+            ((0, 2), (1, 3)),
+            ((0, 5), (1, 4), (2, 3)),
+        ],
+    )
+    def test_families(self, tag, pairs):
+        space = family_metric(tag, 6)
+        pairs = PairSequence(pairs)
+        assert sign_pattern_isometry_check(space, pairs) == full_sweep(space, pairs)
+
+    def test_failure_past_the_first_pattern(self):
+        space = line_space([1, 3, 4, 6, 7, 8])
+        pairs = PairSequence(((2, 4), (3, 5), (0, 1)))
+        report = sign_pattern_isometry_check(space, pairs)
+        assert report == full_sweep(space, pairs)
+        assert report.patterns_checked == 3
+        assert report.pattern == (1, -1, 1)
+        assert report.achieved == F(7, 3)
+
+    @given(st.data())
+    def test_random_spaces(self, data):
+        # families fail at the first pattern; line and band spaces also
+        # fail later in the order
+        kind = data.draw(st.sampled_from(["family", "band", "line"]))
+        if kind == "family":
+            tag = data.draw(st.sampled_from(FAMILY_TAGS))
+            space = family_metric(tag, data.draw(st.integers(4, 8)))
+        elif kind == "band":
+            space = data.draw(metric_spaces(4, 8))
+        else:
+            coords = st.lists(st.integers(0, 30), min_size=4, max_size=8, unique=True)
+            space = line_space(data.draw(coords))
+        order = data.draw(st.permutations(range(space.n)))
+        count = data.draw(st.integers(2, space.n // 2))
+        pairs = PairSequence(
+            tuple(tuple(sorted(order[2 * i : 2 * i + 2])) for i in range(count))
+        )
+        coeffs = data.draw(
+            st.none()
+            | st.lists(
+                st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        expected = full_sweep(space, pairs, coeffs)
+        assert sign_pattern_isometry_check(space, pairs, coeffs) == expected
 
 
 def _all_plus_failure_implies_cheaper_matching(space, pairs) -> bool:
@@ -135,6 +217,16 @@ class TestQuadrupleSweep:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             quadruple_inequality_check("a", 3)
+
+    def test_size_budget_fails_before_any_work(self, monkeypatch):
+        assert QUADRUPLE_INDEX_LIMIT >= 40
+
+        def refuse(*args):
+            raise AssertionError("family space built past the size budget")
+
+        monkeypatch.setattr(l1embed, "family_metric", refuse)
+        with pytest.raises(ValueError, match=f"limit {QUADRUPLE_INDEX_LIMIT}"):
+            quadruple_inequality_check("a", QUADRUPLE_INDEX_LIMIT + 1)
 
 
 class TestRefutation:

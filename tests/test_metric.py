@@ -67,6 +67,17 @@ class TestValidation:
         named = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]], labels=("x", "y"))
         assert named.label(1) == "y"
 
+    def test_exact_entries_only(self):
+        with pytest.raises(ValueError, match="float"):
+            FiniteMetricSpace.from_matrix([[0, 0.1], [0.1, 0]])
+        with pytest.raises(ValueError, match="bool"):
+            FiniteMetricSpace.from_matrix([[0, True], [True, 0]])
+        with pytest.raises(ValueError, match="float"):
+            FiniteMetricSpace(((0, 0.5), (0.5, 0)))
+        space = FiniteMetricSpace.from_matrix([[0, "1/3"], [F(1, 3), 0]])
+        assert space.d(0, 1) == F(1, 3)
+        assert type(FiniteMetricSpace(((0, 1), (1, 0))).d(0, 1)) is F
+
     def test_single_point(self):
         space = FiniteMetricSpace.from_matrix([[0]])
         assert space.n == 1

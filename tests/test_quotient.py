@@ -76,6 +76,11 @@ class TestEdgeVectors:
             EdgeVector.from_values(3, {(0, 3): F(1)})
         with pytest.raises(ValueError):
             EdgeVector(0)
+        for bad in [(True, 2), (0, True), (0, F(2)), (0, 2.0), ("0", 2)]:
+            with pytest.raises(ValueError, match="bad edge"):
+                EdgeVector.from_values(3, {bad: F(1)})
+        with pytest.raises(ValueError, match="float"):
+            EdgeVector.from_values(3, {(0, 1): 0.5})
 
     def test_operators(self):
         f = EdgeVector.from_values(3, {(0, 1): F(1)})

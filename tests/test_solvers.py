@@ -22,6 +22,8 @@ from tcspace import (
 from tcspace.rationals import data_lines
 from tcspace.solvers import EQ, GE, LE
 
+from helpers import over_a_prime
+
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
@@ -270,9 +272,32 @@ def flow_instances(draw):
     return FlowNetwork(supplies, arcs)
 
 
+@st.composite
+def coprime_flow_instances(draw):
+    """Like ``flow_instances``, with every amount and cost over a prime > 100."""
+    n = draw(st.integers(3, 4))
+    raw = [draw(over_a_prime(-3, 3)) for _ in range(n - 1)]
+    supplies = raw + [-sum(raw, F(0))]
+    arcs = []
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                cap = draw(st.none() | over_a_prime(1, 3))
+                arcs.append((u, v, draw(over_a_prime(0, 3)), cap))
+    return FlowNetwork(supplies, arcs)
+
+
 class TestFlowAgainstSimplex:
     @given(flow_instances())
     def test_routes_agree(self, net):
+        self.check_against_simplex(net)
+
+    @given(coprime_flow_instances())
+    def test_routes_agree_on_coprime_denominators(self, net):
+        self.check_against_simplex(net)
+
+    @staticmethod
+    def check_against_simplex(net):
         nvars = len(net.arcs)
         objective = [cost for _, _, cost, _ in net.arcs]
         constraints = []
@@ -301,6 +326,7 @@ class TestFlowAgainstSimplex:
             ) - sum((flows[k] for k, a in enumerate(net.arcs) if a[1] == v), F(0))
             assert net_out == supply
         for k, (_, _, _, cap) in enumerate(net.arcs):
+            assert type(flows[k]) is F
             assert flows[k] >= 0
             assert cap is None or flows[k] <= cap
 

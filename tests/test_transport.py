@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tcspace import (
+    FiniteMetricSpace,
+    FlowNetwork,
     NotZeroSumError,
     ParseError,
     TransportPlan,
@@ -15,6 +17,7 @@ from tcspace import (
     family_metric,
     format_problem,
     l1_norm,
+    min_cost_flow,
     parse_problem,
     point_embedding,
     tc_brute_force,
@@ -22,9 +25,30 @@ from tcspace import (
 )
 from tcspace.transport import BRUTE_FORCE_SUPPORT_LIMIT
 
-from helpers import line_space, relay_plan, spaces_with_problems, zero_sum_problems
+from helpers import (
+    line_space,
+    over_a_prime,
+    relay_plan,
+    spaces_with_problems,
+    zero_sum_problems,
+)
 
 LINE = line_space([0, 1, 3])
+
+
+@st.composite
+def coprime_spaces_with_problems(draw):
+    """Distances in [1, 2] and problem values over primes above 100."""
+    n = draw(st.integers(3, 7))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(over_a_prime(1, 2))
+    points = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    values = [draw(over_a_prime(-3, 3).filter(bool)) for _ in points[1:]]
+    values.append(-sum(values, F(0)))
+    f = TransportationProblem.from_values(dict(zip(points, values)))
+    return FiniteMetricSpace.from_matrix(rows), f
 
 
 class TestProblemAlgebra:
@@ -45,6 +69,14 @@ class TestProblemAlgebra:
             TransportationProblem.from_values({-1: F(1), 0: F(-1)})
         with pytest.raises(ValueError):
             TransportationProblem.from_values({True: F(1), 0: F(-1)})
+
+    def test_exact_values_only(self):
+        with pytest.raises(ValueError, match="float"):
+            TransportationProblem.from_values({0: 0.1, 1: -0.1})
+        with pytest.raises(ValueError, match="bool"):
+            TransportationProblem.from_values({0: True, 1: -1})
+        f = TransportationProblem.from_values({0: "1/3", 1: F(-1, 3), 2: 0})
+        assert f.entries == ((0, F(1, 3)), (1, F(-1, 3)))
 
     def test_operators(self):
         f = TransportationProblem.from_values({0: F(1), 1: F(-1)})
@@ -137,6 +169,28 @@ class TestNorm:
         for x, y, _ in plan.moves:
             assert x in positives
             assert y in negatives
+
+    @given(coprime_spaces_with_problems())
+    def test_large_coprime_denominators(self, case):
+        space, f = case
+        pos = [(v, a) for v, a in f.entries if a > 0]
+        neg = [(v, -a) for v, a in f.entries if a < 0]
+        supplies = [a for _, a in pos] + [-a for _, a in neg]
+        arcs = [
+            (i, len(pos) + j, space.d(x, y), None)
+            for i, (x, _) in enumerate(pos)
+            for j, (y, _) in enumerate(neg)
+        ]
+        cost, flows = min_cost_flow(FlowNetwork(supplies, arcs))
+        oracle = tc_brute_force(space, f)
+        assert cost == oracle
+        assert tc_norm(space, f)[0] == oracle
+        assert all(type(x) is F and x >= 0 for x in flows)
+        assert sum(x * arc[2] for x, arc in zip(flows, arcs)) == cost
+        for v, supply in enumerate(supplies):
+            out = sum((x for x, arc in zip(flows, arcs) if arc[0] == v), F(0))
+            into = sum((x for x, arc in zip(flows, arcs) if arc[1] == v), F(0))
+            assert out - into == supply
 
     @given(spaces_with_problems())
     def test_norm_axioms(self, case):
