@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .duality import dual_optimal
@@ -34,7 +33,7 @@ from .metric import (
     serialize_metric,
 )
 from .quotient import lift_plan, parse_edge_vector, quotient_norm
-from .rationals import ParseError, format_rational
+from .rationals import ParseError, format_rational, parse_rational
 from .sampling import random_metric_space, random_zero_sum_problem
 from .solvers import InfeasibleError, UnboundedError
 from .transport import (
@@ -65,61 +64,34 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_metric(path: str) -> FiniteMetricSpace:
+def _load(parse, path: str, *args):
+    """``parse`` the file at ``path``; data errors are prefixed with the path."""
     try:
-        return parse_metric(_read(path))
-    except (ParseError, NotAMetricError) as exc:
+        return parse(_read(path), *args)
+    except (ParseError, NotAMetricError, NotZeroSumError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _load_problem(path: str):
+def _comma_list(option: str, text: str, parse_item, build=tuple):
+    """The comma-separated items of ``option``, each parsed, passed to ``build``."""
     try:
-        return parse_problem(_read(path))
-    except (ParseError, NotZeroSumError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def _load_edge_vector(path: str, n: int):
-    try:
-        return parse_edge_vector(_read(path), n)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def _parse_pairs(text: str) -> PairSequence:
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        left, sep, right = chunk.partition(":")
-        if not sep or not left.strip().isdigit() or not right.strip().isdigit():
-            raise ValueError(f"--pairs: expected 'x:y' entries, got {chunk!r}")
-        pairs.append((int(left), int(right)))
-    try:
-        return PairSequence(tuple(pairs))
+        items = tuple(parse_item(chunk.strip()) for chunk in text.split(","))
+        return build(items)
     except ValueError as exc:
-        raise ValueError(f"--pairs: {exc}") from None
+        raise ValueError(f"{option}: {exc}") from None
 
 
-def _parse_vertices(text: str) -> list[int]:
-    vertices = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk.isdigit():
-            raise ValueError(f"--vertices: expected integers, got {chunk!r}")
-        vertices.append(int(chunk))
-    return vertices
+def _vertex(chunk: str) -> int:
+    if not chunk.isdigit():
+        raise ValueError(f"expected integers, got {chunk!r}")
+    return int(chunk)
 
 
-def _parse_coeffs(text: str) -> list[Fraction]:
-    from .rationals import parse_rational
-
-    coeffs = []
-    for chunk in text.split(","):
-        try:
-            coeffs.append(parse_rational(chunk.strip()))
-        except ParseError as exc:
-            raise ValueError(f"--coeffs: {exc}") from None
-    return coeffs
+def _pair(chunk: str) -> tuple[int, int]:
+    left, sep, right = chunk.partition(":")
+    if not sep or not left.strip().isdigit() or not right.strip().isdigit():
+        raise ValueError(f"expected 'x:y' entries, got {chunk!r}")
+    return int(left), int(right)
 
 
 def _edge_label(space: FiniteMetricSpace, u: int, v: int) -> str:
@@ -129,7 +101,7 @@ def _edge_label(space: FiniteMetricSpace, u: int, v: int) -> str:
 
 
 def _cmd_validate(args) -> tuple[int, list[str], dict]:
-    space = _load_metric(args.metric)
+    space = _load(parse_metric, args.metric)
     lines = [f"OK n={space.n}"]
     payload: dict = {"ok": True, "n": space.n}
     if space.n >= 2:
@@ -142,8 +114,8 @@ def _cmd_validate(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_tcnorm(args) -> tuple[int, list[str], dict]:
-    space = _load_metric(args.metric)
-    problem = _load_problem(args.problem)
+    space = _load(parse_metric, args.metric)
+    problem = _load(parse_problem, args.problem)
     norm, plan = tc_norm(space, problem)
     lines = [f"norm {format_rational(norm)}"]
     moves = []
@@ -155,14 +127,14 @@ def _cmd_tcnorm(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_l1norm(args) -> tuple[int, list[str], dict]:
-    problem = _load_problem(args.problem)
+    problem = _load(parse_problem, args.problem)
     value = l1_norm(problem)
     return 0, [f"l1 {format_rational(value)}"], {"l1": format_rational(value)}
 
 
 def _cmd_matching(args) -> tuple[int, list[str], dict]:
-    space = _load_metric(args.metric)
-    vertices = _parse_vertices(args.vertices)
+    space = _load(parse_metric, args.metric)
+    vertices = _comma_list("--vertices", args.vertices, _vertex)
     result = min_weight_perfect_matching(space, vertices)
     lines = [f"weight {format_rational(result.weight)}"]
     for u, v in result.edges:
@@ -175,8 +147,8 @@ def _cmd_matching(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_nested_check(args) -> tuple[int, list[str], dict]:
-    space = _load_metric(args.metric)
-    pairs = _parse_pairs(args.pairs)
+    space = _load(parse_metric, args.metric)
+    pairs = _comma_list("--pairs", args.pairs, _pair, PairSequence)
     result = nested_matching_check(space, pairs)
     if result.passed:
         lines = [f"PASS {result.depth} prefixes"]
@@ -200,8 +172,8 @@ def _cmd_nested_check(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_quotient(args) -> tuple[int, list[str], dict]:
-    space = _load_metric(args.metric)
-    vector = _load_edge_vector(args.edges, space.n)
+    space = _load(parse_metric, args.metric)
+    vector = _load(parse_edge_vector, args.edges, space.n)
     value, representative = quotient_norm(space, vector)
     lines = [f"norm {format_rational(value)}"]
     entries = []
@@ -213,8 +185,8 @@ def _cmd_quotient(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_dual(args) -> tuple[int, list[str], dict]:
-    space = _load_metric(args.metric)
-    problem = _load_problem(args.problem)
+    space = _load(parse_metric, args.metric)
+    problem = _load(parse_problem, args.problem)
     h, value = dual_optimal(space, problem, base=args.base)
     lines = [f"value {format_rational(value)}"]
     for v, a in enumerate(h.values):
@@ -228,9 +200,11 @@ def _cmd_dual(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_l1check(args) -> tuple[int, list[str], dict]:
-    space = _load_metric(args.metric)
-    pairs = _parse_pairs(args.pairs)
-    coeffs = _parse_coeffs(args.coeffs) if args.coeffs else None
+    space = _load(parse_metric, args.metric)
+    pairs = _comma_list("--pairs", args.pairs, _pair, PairSequence)
+    coeffs = None
+    if args.coeffs:
+        coeffs = _comma_list("--coeffs", args.coeffs, parse_rational)
     report = sign_pattern_isometry_check(space, pairs, coeffs)
     if report.passed:
         lines = [

@@ -11,15 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .metric import FiniteMetricSpace
-from .quotient import EdgeVector
-from .rationals import ParseError, data_lines, format_rational, parse_rational
+from .quotient import EdgeVector, all_edges
+from .rationals import (
+    ParseError,
+    check_index,
+    exact_rational,
+    format_rational,
+    indexed_lines,
+)
 from .solvers import LE, LinearProgram, simplex_solve
 from .transport import TransportationProblem
 
 _ZERO = Fraction(0)
+
+# n(n - 1) Lipschitz rows over n - 1 variables
+DUAL_POINT_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -29,7 +37,7 @@ class LipFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(exact_rational, self.values)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -68,14 +76,15 @@ def dual_optimal(
 
     Solved as an exact LP with one variable per non-base point and the
     two-sided Lipschitz constraints on every pair; the optimal value
-    equals the transportation cost norm of f.
+    equals the transportation cost norm of f.  Capped at
+    ``DUAL_POINT_LIMIT`` points.
     """
     n = space.n
-    if not 0 <= base < n:
-        raise IndexError(f"base point {base} out of range for n={n}")
+    if n > DUAL_POINT_LIMIT:
+        raise ValueError(f"space too large for the dual LP (limit {DUAL_POINT_LIMIT})")
+    check_index(base, n, "base point")
     for v, _ in f.entries:
-        if v >= n:
-            raise IndexError(f"support point {v} out of range for n={n}")
+        check_index(v, n, "support point")
     if n == 1:
         return LipFunction((_ZERO,)), _ZERO
     var_of = {v: idx for idx, v in enumerate(p for p in range(n) if p != base)}
@@ -106,15 +115,8 @@ def gradient_field(space: FiniteMetricSpace, h: LipFunction) -> EdgeVector:
     """Edge vector of increments: edge (i, j), i < j, carries h(j) - h(i)."""
     if len(h) != space.n:
         raise ValueError("function and space have different point counts")
-    n = space.n
-    return EdgeVector.from_values(
-        n,
-        {
-            (i, j): h[j] - h[i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        },
-    )
+    edges = all_edges(space.n)
+    return EdgeVector.from_values(space.n, {(i, j): h[j] - h[i] for i, j in edges})
 
 
 def linf_d_norm(space: FiniteMetricSpace, g: EdgeVector) -> Fraction:
@@ -133,20 +135,11 @@ def parse_lip(text: str, n: int) -> LipFunction:
     """Read the ``index value`` format; unlisted points default to zero."""
     values = [_ZERO] * n
     seen: set[int] = set()
-    for lineno, line in data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'index value'")
-        idx, val = parts
-        if not idx.isdigit():
-            raise ParseError(f"line {lineno}: bad point index {idx!r}")
-        v = int(idx)
-        if v >= n:
-            raise ParseError(f"line {lineno}: index {v} out of range for n={n}")
+    for lineno, (v,), a in indexed_lines(text, 1, n):
         if v in seen:
             raise ParseError(f"line {lineno}: duplicate index {v}")
         seen.add(v)
-        values[v] = parse_rational(val)
+        values[v] = a
     return LipFunction(tuple(values))
 
 

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .matching import Matching, NestedCheckResult, PairSequence, nested_matching_check
 from .metric import FiniteMetricSpace, family_metric
+from .rationals import exact_rational
 from .transport import TransportationProblem, tc_norm
 
 _ZERO = Fraction(0)
@@ -67,32 +68,27 @@ def sign_pattern_isometry_check(
         raise ValueError("need at least one pair")
     if k > SIGN_SWEEP_PAIR_LIMIT:
         raise ValueError(f"too many pairs for the sign sweep (limit {SIGN_SWEEP_PAIR_LIMIT})")
-    for x, y in pairs.pairs:
-        for p in (x, y):
-            if not 0 <= p < space.n:
-                raise IndexError(f"pair endpoint {p} out of range for n={space.n}")
+    pairs.check_in(space)
     if coefficients is None:
         coeffs = tuple(Fraction(1) for _ in range(k))
     else:
-        coeffs = tuple(Fraction(a) for a in coefficients)
+        coeffs = tuple(map(exact_rational, coefficients))
         if len(coeffs) != k:
             raise ValueError("coefficient count must match pair count")
         if any(a <= 0 for a in coeffs):
             raise ValueError("coefficients must be strictly positive")
-    masses = [
-        coeffs[i] / space.dist[x][y] for i, (x, y) in enumerate(pairs.pairs)
-    ]
+    # the entries of each normalized pair difference, for sign +1 and -1
+    signed = []
+    for a, (x, y) in zip(coeffs, pairs.pairs):
+        m = a / space.dist[x][y]
+        signed.append({1: ((x, m), (y, -m)), -1: ((x, -m), (y, m))})
     expected = sum(coeffs, _ZERO)
     # eps[0] = +1 only: -eps has the same norm and comes later (see
     # SignPatternReport)
     for checked, rest in enumerate(itertools.product((1, -1), repeat=k - 1), 1):
         eps = (1, *rest)
-        values: dict[int, Fraction] = {}
-        for (x, y), s, m in zip(pairs.pairs, eps, masses):
-            signed = m if s > 0 else -m
-            values[x] = values.get(x, _ZERO) + signed
-            values[y] = values.get(y, _ZERO) - signed
-        norm, _ = tc_norm(space, TransportationProblem.from_values(values))
+        entries = tuple(e for s, pair in zip(eps, signed) for e in pair[s])
+        norm, _ = tc_norm(space, TransportationProblem(entries))
         if norm != expected:
             return SignPatternReport(False, checked, expected, eps, norm)
     return SignPatternReport(True, 2**k, expected)

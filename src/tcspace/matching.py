@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .metric import FiniteMetricSpace
+from .rationals import check_index, exact_rational
 
 _ZERO = Fraction(0)
 
@@ -28,14 +29,20 @@ class PairSequence:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        cleaned = tuple((int(x), int(y)) for x, y in self.pairs)
-        flat = [p for pair in cleaned for p in pair]
+        pairs = tuple((x, y) for x, y in self.pairs)
+        flat = [check_index(p, None, "pair endpoint") for pair in pairs for p in pair]
         if len(set(flat)) != len(flat):
             raise ValueError("pair endpoints must all be distinct")
-        object.__setattr__(self, "pairs", cleaned)
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def check_in(self, space: FiniteMetricSpace) -> None:
+        """Refuse endpoints that are not points of ``space``."""
+        for pair in self.pairs:
+            for p in pair:
+                check_index(p, space.n, "pair endpoint")
 
 
 @dataclass(frozen=True)
@@ -54,20 +61,17 @@ class Matching:
                 raise ValueError("matching edges must be pairwise disjoint")
             seen.add(u)
             seen.add(v)
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        object.__setattr__(self, "weight", exact_rational(self.weight))
 
 
 def _checked_vertices(
     space: FiniteMetricSpace, vertices: Iterable[int], limit: int
 ) -> list[int]:
-    vs = [int(v) for v in vertices]
+    vs = [check_index(v, space.n, "vertex") for v in vertices]
     if not vs or len(vs) % 2:
         raise ValueError("vertex set must be nonempty and of even size")
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate vertex in matching input")
-    for v in vs:
-        if not 0 <= v < space.n:
-            raise IndexError(f"vertex {v} out of range for n={space.n}")
     if len(vs) > limit:
         raise ValueError(f"vertex set too large (limit {limit})")
     return sorted(vs)
@@ -182,10 +186,7 @@ def nested_matching_check(
     """
     if not pairs.pairs:
         raise ValueError("need at least one pair")
-    for x, y in pairs.pairs:
-        for p in (x, y):
-            if not 0 <= p < space.n:
-                raise IndexError(f"pair endpoint {p} out of range for n={space.n}")
+    pairs.check_in(space)
     if 2 * len(pairs.pairs) > DP_VERTEX_LIMIT:
         raise ValueError(f"pair sequence too long (limit {DP_VERTEX_LIMIT // 2})")
     for k in range(1, len(pairs.pairs) + 1):

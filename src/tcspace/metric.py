@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .rationals import (
     ParseError,
+    check_index,
     data_lines,
     exact_rational,
     format_rational,
@@ -22,6 +23,8 @@ from .rationals import (
 )
 
 FAMILY_TAGS = ("a", "b", "c", "d", "e")
+# validation checks n(n - 1)(n - 2)/2 triangle inequalities
+FAMILY_POINT_LIMIT = 64
 
 
 class NotAMetricError(ValueError):
@@ -89,9 +92,10 @@ class FiniteMetricSpace:
         return len(self.dist)
 
     def d(self, u: int, v: int) -> Fraction:
-        return self.dist[u][v]
+        return self.dist[check_index(u, self.n)][check_index(v, self.n)]
 
     def label(self, v: int) -> str:
+        check_index(v, self.n)
         return self.labels[v] if self.labels is not None else f"p{v}"
 
 
@@ -154,9 +158,14 @@ def family_distance(tag: str, k: int, m: int) -> Fraction:
 
 
 def family_metric(tag: str, n: int) -> FiniteMetricSpace:
-    """The first ``n`` points of family ``tag``, labelled ``v1`` .. ``vn``."""
+    """The first ``n`` points of family ``tag``, labelled ``v1`` .. ``vn``.
+
+    ``n`` is capped at ``FAMILY_POINT_LIMIT``.
+    """
     if n < 2:
         raise ValueError("family truncations need n >= 2")
+    if n > FAMILY_POINT_LIMIT:
+        raise ValueError(f"family truncation too large (limit {FAMILY_POINT_LIMIT})")
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -170,12 +179,9 @@ def induced_subspace(
     space: FiniteMetricSpace, indices: Sequence[int]
 ) -> FiniteMetricSpace:
     """Restriction of the metric to ``indices``, order preserved."""
-    idx = [int(i) for i in indices]
+    idx = [check_index(i, space.n) for i in indices]
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate index in subspace selection")
-    for i in idx:
-        if not 0 <= i < space.n:
-            raise IndexError(f"point index {i} out of range for n={space.n}")
     d = tuple(tuple(space.dist[u][v] for v in idx) for u in idx)
     labels = None if space.labels is None else tuple(space.labels[i] for i in idx)
     return FiniteMetricSpace(d, labels)

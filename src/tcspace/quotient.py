@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .metric import FiniteMetricSpace
 from .rationals import (
     ParseError,
-    data_lines,
-    exact_rational,
+    SparseVector,
+    check_index,
     format_rational,
-    parse_rational,
+    indexed_lines,
 )
 from .solvers import GE, LinearProgram, least_squares_exact, simplex_solve
 from .transport import TransportPlan, TransportationProblem
@@ -31,9 +31,12 @@ _ZERO = Fraction(0)
 
 Edge = tuple[int, int]
 
+# n(n - 1) rows over (n - 1)^2 variables
+QUOTIENT_POINT_LIMIT = 16
+
 
 @dataclass(frozen=True)
-class EdgeVector:
+class EdgeVector(SparseVector):
     """Rational values on the edges of the complete graph on ``n`` points.
 
     Keys are ``(i, j)`` with ``int`` indices (``bool`` is refused) and
@@ -47,48 +50,16 @@ class EdgeVector:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ambient point count must be >= 1")
-        merged: dict[Edge, Fraction] = {}
-        for (i, j), val in self.entries:
-            ints = all(isinstance(p, int) and not isinstance(p, bool) for p in (i, j))
-            if not (ints and 0 <= i < j < self.n):
-                raise ValueError(f"bad edge ({i!r}, {j!r}) for n={self.n}")
-            merged[(i, j)] = merged.get((i, j), _ZERO) + exact_rational(val)
-        cleaned = tuple(sorted((e, v) for e, v in merged.items() if v != 0))
-        object.__setattr__(self, "entries", cleaned)
+        super().__post_init__()
 
-    @classmethod
-    def from_values(
-        cls, n: int, values: Mapping[Edge, Fraction] | Iterable[tuple[Edge, Fraction]]
-    ) -> "EdgeVector":
-        items = values.items() if isinstance(values, Mapping) else values
-        return cls(n, tuple((e, v) for e, v in items))
+    def check_key(self, edge: Edge) -> None:
+        i, j = edge
+        ints = type(i) is int and type(j) is int
+        if not (ints and 0 <= i < j < self.n):
+            raise ValueError(f"bad edge ({i!r}, {j!r}) for n={self.n}")
 
     def value(self, i: int, j: int) -> Fraction:
-        if not i < j:
-            raise ValueError(f"edge must be queried as (i, j) with i < j, got ({i}, {j})")
-        for e, v in self.entries:
-            if e == (i, j):
-                return v
-        return _ZERO
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scaled(self, factor) -> "EdgeVector":
-        q = Fraction(factor)
-        return EdgeVector(self.n, tuple((e, q * v) for e, v in self.entries))
-
-    def __add__(self, other: "EdgeVector") -> "EdgeVector":
-        if self.n != other.n:
-            raise ValueError("edge vectors live on different point counts")
-        return EdgeVector(self.n, self.entries + other.entries)
-
-    def __sub__(self, other: "EdgeVector") -> "EdgeVector":
-        return self + (-other)
-
-    def __neg__(self) -> "EdgeVector":
-        return EdgeVector(self.n, tuple((e, -v) for e, v in self.entries))
+        return super().value((i, j))
 
 
 def all_edges(n: int) -> list[Edge]:
@@ -105,24 +76,18 @@ def cycle_basis(n: int) -> tuple[EdgeVector, ...]:
     """
     if n < 1:
         raise ValueError("ambient point count must be >= 1")
-    basis = []
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            basis.append(
-                EdgeVector.from_values(
-                    n, {(0, i): Fraction(1), (i, j): Fraction(1), (0, j): Fraction(-1)}
-                )
-            )
-    return tuple(basis)
+    return tuple(
+        EdgeVector.from_values(n, {(0, i): 1, (i, j): 1, (0, j): -1})
+        for i, j in all_edges(n)
+        if i > 0
+    )
 
 
 def boundary(f: EdgeVector) -> TransportationProblem:
     """Net in-flow at every point: heads (higher index) count positive."""
-    acc: dict[int, Fraction] = {}
-    for (i, j), val in f.entries:
-        acc[j] = acc.get(j, _ZERO) + val
-        acc[i] = acc.get(i, _ZERO) - val
-    return TransportationProblem.from_values(acc)
+    return TransportationProblem.from_values(
+        e for (i, j), val in f.entries for e in ((j, val), (i, -val))
+    )
 
 
 def lift_plan(plan: TransportPlan, n: int) -> EdgeVector:
@@ -131,16 +96,12 @@ def lift_plan(plan: TransportPlan, n: int) -> EdgeVector:
     A move ``(x, y, a)`` contributes ``-a`` on edge ``(min, max)`` when
     x < y and ``+a`` when x > y.
     """
-    acc: dict[Edge, Fraction] = {}
+    entries = []
     for x, y, a in plan.moves:
-        if not (0 <= x < n and 0 <= y < n):
-            raise IndexError(f"plan endpoint out of range for n={n}")
-        if x < y:
-            e, signed = (x, y), -a
-        else:
-            e, signed = (y, x), a
-        acc[e] = acc.get(e, _ZERO) + signed
-    return EdgeVector.from_values(n, acc)
+        check_index(x, n, "plan endpoint")
+        check_index(y, n, "plan endpoint")
+        entries.append(((x, y), -a) if x < y else ((y, x), a))
+    return EdgeVector.from_values(n, entries)
 
 
 def l1d_norm(space: FiniteMetricSpace, f: EdgeVector) -> Fraction:
@@ -157,9 +118,7 @@ def _reorient(f: EdgeVector, orientation: Orientation | None) -> EdgeVector:
     if orientation is None:
         return f
     for e, s in orientation.items():
-        i, j = e
-        if not (0 <= i < j < f.n):
-            raise ValueError(f"orientation key {e} is not an edge for n={f.n}")
+        f.check_key(e)
         if s not in (1, -1):
             raise ValueError("orientation signs must be +1 or -1")
     return EdgeVector(
@@ -180,11 +139,16 @@ def quotient_norm(
 
     Passing an ``orientation`` (a +-1 sign per edge) re-expresses both
     the vector and the cycle basis under that orientation before
-    solving; the value must not depend on it.
+    solving; the value must not depend on it.  Capped at
+    ``QUOTIENT_POINT_LIMIT`` points.
     """
     if f.n != space.n:
         raise ValueError("edge vector and space have different point counts")
     n = space.n
+    if n > QUOTIENT_POINT_LIMIT:
+        raise ValueError(
+            f"space too large for the quotient LP (limit {QUOTIENT_POINT_LIMIT})"
+        )
     g = _reorient(f, orientation)
     if n < 2:
         return _ZERO, g
@@ -237,29 +201,18 @@ def cut_decomposition(f: EdgeVector) -> tuple[EdgeVector, EdgeVector]:
         rows.append(row)
     target = [f.value(i, j) for i, j in edges]
     h = least_squares_exact(rows, target)
-    b = EdgeVector.from_values(
-        n, {(i, j): h[j] - h[i] for i, j in edges}
-    )
+    b = EdgeVector.from_values(n, {(i, j): h[j] - h[i] for i, j in edges})
     return f - b, b
 
 
 def parse_edge_vector(text: str, n: int) -> EdgeVector:
     """Read the ``i j value`` line format; repeated edges are summed."""
-    acc: dict[Edge, Fraction] = {}
-    for lineno, line in data_lines(text):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'i j value'")
-        si, sj, val = parts
-        if not (si.isdigit() and sj.isdigit()):
-            raise ParseError(f"line {lineno}: bad edge indices {si!r} {sj!r}")
-        i, j = int(si), int(sj)
+    entries = []
+    for lineno, (i, j), val in indexed_lines(text, 2, n):
         if not i < j:
             raise ParseError(f"line {lineno}: edge must satisfy i < j")
-        if j >= n:
-            raise ParseError(f"line {lineno}: edge ({i}, {j}) out of range for n={n}")
-        acc[(i, j)] = acc.get((i, j), _ZERO) + parse_rational(val)
-    return EdgeVector.from_values(n, acc)
+        entries.append(((i, j), val))
+    return EdgeVector.from_values(n, entries)
 
 
 def format_edge_vector(f: EdgeVector) -> str:

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .metric import FiniteMetricSpace
 from .rationals import (
-    ParseError,
-    data_lines,
+    SparseVector,
+    check_index,
     exact_rational,
     format_rational,
-    parse_rational,
+    indexed_lines,
 )
 from .solvers import EQ, FlowNetwork, LinearProgram, min_cost_flow, simplex_solve
 
@@ -34,7 +33,7 @@ class NotZeroSumError(ValueError):
 
 
 @dataclass(frozen=True)
-class TransportationProblem:
+class TransportationProblem(SparseVector):
     """Finitely supported zero-sum rational function on point indices.
 
     Entries are normalized on construction: repeated indices are merged,
@@ -44,50 +43,12 @@ class TransportationProblem:
 
     entries: tuple[tuple[int, Fraction], ...] = ()
 
+    check_key = staticmethod(check_index)
+
     def __post_init__(self):
-        merged: dict[int, Fraction] = {}
-        for v, a in self.entries:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"point index must be a nonnegative int, got {v!r}")
-            merged[v] = merged.get(v, _ZERO) + exact_rational(a)
-        cleaned = tuple(sorted((v, a) for v, a in merged.items() if a != 0))
-        if sum((a for _, a in cleaned), _ZERO) != 0:
+        super().__post_init__()
+        if sum((a for _, a in self.entries), _ZERO) != 0:
             raise NotZeroSumError("values must sum to zero")
-        object.__setattr__(self, "entries", cleaned)
-
-    @classmethod
-    def from_values(
-        cls, values: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]]
-    ) -> "TransportationProblem":
-        items = values.items() if isinstance(values, Mapping) else values
-        return cls(tuple((v, a) for v, a in items))
-
-    def value(self, v: int) -> Fraction:
-        for p, a in self.entries:
-            if p == v:
-                return a
-        return _ZERO
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scaled(self, factor) -> "TransportationProblem":
-        q = Fraction(factor)
-        return TransportationProblem(tuple((v, q * a) for v, a in self.entries))
-
-    def __add__(self, other: "TransportationProblem") -> "TransportationProblem":
-        return TransportationProblem(self.entries + other.entries)
-
-    def __sub__(self, other: "TransportationProblem") -> "TransportationProblem":
-        return self + (-other)
-
-    def __neg__(self) -> "TransportationProblem":
-        return TransportationProblem(tuple((v, -a) for v, a in self.entries))
 
 
 @dataclass(frozen=True)
@@ -105,22 +66,22 @@ class TransportPlan:
     def __post_init__(self):
         cleaned = []
         for x, y, a in self.moves:
-            a = Fraction(a)
+            check_index(x, None, "move endpoint")
+            check_index(y, None, "move endpoint")
+            a = exact_rational(a)
             if a <= 0:
                 raise ValueError("move amounts must be strictly positive")
             if x == y:
                 raise ValueError("moves must join distinct points")
             cleaned.append((x, y, a))
         object.__setattr__(self, "moves", tuple(cleaned))
-        object.__setattr__(self, "cost", Fraction(self.cost))
+        object.__setattr__(self, "cost", exact_rational(self.cost))
 
     def problem(self) -> TransportationProblem:
         """The transportation problem these moves resolve."""
-        acc: dict[int, Fraction] = {}
-        for x, y, a in self.moves:
-            acc[x] = acc.get(x, _ZERO) + a
-            acc[y] = acc.get(y, _ZERO) - a
-        return TransportationProblem.from_values(acc)
+        return TransportationProblem.from_values(
+            e for x, y, a in self.moves for e in ((x, a), (y, -a))
+        )
 
     def cost_in(self, space: FiniteMetricSpace) -> Fraction:
         """Recompute the amount-weighted distance total in ``space``."""
@@ -129,8 +90,7 @@ class TransportPlan:
 
 def _check_support(space: FiniteMetricSpace, f: TransportationProblem) -> None:
     for v, _ in f.entries:
-        if v >= space.n:
-            raise IndexError(f"support point {v} out of range for n={space.n}")
+        check_index(v, space.n, "support point")
 
 
 def l1_norm(f: TransportationProblem) -> Fraction:
@@ -210,9 +170,8 @@ def point_embedding(
     space: FiniteMetricSpace, v: int, base: int
 ) -> TransportationProblem:
     """The unit problem ``1_v - 1_base`` (the zero problem when v == base)."""
-    for p in (v, base):
-        if not 0 <= p < space.n:
-            raise IndexError(f"point index {p} out of range for n={space.n}")
+    check_index(v, space.n)
+    check_index(base, space.n)
     if v == base:
         return TransportationProblem()
     return TransportationProblem.from_values({v: Fraction(1), base: Fraction(-1)})
@@ -220,17 +179,9 @@ def point_embedding(
 
 def parse_problem(text: str) -> TransportationProblem:
     """Read the ``index value`` line format; repeated indices are summed."""
-    acc: dict[int, Fraction] = {}
-    for lineno, line in data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'index value'")
-        idx, val = parts
-        if not idx.isdigit():
-            raise ParseError(f"line {lineno}: bad point index {idx!r}")
-        v = int(idx)
-        acc[v] = acc.get(v, _ZERO) + parse_rational(val)
-    return TransportationProblem.from_values(acc)
+    return TransportationProblem.from_values(
+        (v, a) for _, (v,), a in indexed_lines(text, 1)
+    )
 
 
 def format_problem(f: TransportationProblem) -> str:

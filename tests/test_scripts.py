@@ -1,0 +1,42 @@
+"""Smoke runs of the scripts on small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_norm_crosscheck():
+    done = run_script("norm_crosscheck.py", "--count", "5")
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1]
+    assert last == "all 5 instances agree across routes (seed 20260816)"
+
+
+def test_family_report():
+    done = run_script("family_report.py", "--max", "8", "--depth", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 15
+    assert lines[-3:] == [
+        "family e: 70 quadruples PASS",
+        "  consecutive pairs: refuted at prefix 2: prescribed 41/12,"
+        " a matching of weight 10/3 is lighter",
+        "  crossed pairs:     inconclusive after 2 prefixes",
+    ]
