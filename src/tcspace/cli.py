@@ -35,7 +35,6 @@ from .metric import (
 from .quotient import lift_plan, parse_edge_vector, quotient_norm
 from .rationals import ParseError, format_rational, parse_rational
 from .sampling import random_metric_space, random_zero_sum_problem
-from .solvers import InfeasibleError, UnboundedError
 from .transport import (
     NotZeroSumError,
     l1_norm,
@@ -44,12 +43,13 @@ from .transport import (
     tc_norm,
 )
 
+# No solver exception is listed: every LP and flow built from validated
+# input is feasible and bounded, so a solver that raises is a bug and
+# must not be reported as bad input.
 _INPUT_ERRORS = (
     ParseError,
     NotAMetricError,
     NotZeroSumError,
-    InfeasibleError,
-    UnboundedError,
     ValueError,
     IndexError,
     OSError,

@@ -3,12 +3,16 @@
 Three primitives, all exact: a two-phase simplex solver using Bland's
 anti-cycling rule, a successive-shortest-path minimum-cost flow solver
 with node potentials, and a least-squares solver working through the
-normal equations.  Inputs and results are ``fractions.Fraction``.  The
-simplex and least-squares kernels compute in ``Fraction``; the flow
-kernel scales its amounts and its costs to integers by one common
-denominator each, runs on ``int``, and divides back once.  Every tie is
-broken by lowest index, so results are deterministic, and no step ever
-rounds.
+normal equations.  Inputs and results are ``fractions.Fraction``, but
+no kernel computes in ``Fraction`` below its set-up.  The simplex and
+least-squares kernels scale their rows to ``int`` by the lcm of the
+denominators and eliminate with ``row*p - f*prow`` and one gcd division
+per updated row; a row stands for itself divided by its pivot entry,
+so the simplex takes exactly the pivots of a ``Fraction`` tableau.  The
+flow kernel scales its amounts and its costs to integers by one common
+denominator each.  Each kernel divides back to ``Fraction`` once, at
+the end.  Every tie is broken by lowest index, so results are
+deterministic, and no step ever rounds.
 """
 
 from __future__ import annotations
@@ -87,17 +91,85 @@ class LinearProgram:
         )
 
 
-def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
+def _integer_row(entries: dict[int, Fraction], length: int) -> list[int]:
+    """The row with ``entries`` (column -> value) and zeros elsewhere,
+    times the lcm of the denominators, in lowest terms."""
+    scale = math.lcm(*(v.denominator for v in entries.values()))
+    row = [0] * length
+    for j, v in entries.items():
+        row[j] = v.numerator * (scale // v.denominator)
+    return _lowest_terms(row)
+
+
+def _lowest_terms(row: list[int]) -> list[int]:
+    """``row`` divided by the (positive) gcd of its entries."""
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _eliminate(
+    row: list[int], f: int, p: int, pivot_terms: list[tuple[int, int]]
+) -> list[int]:
+    """``row*p - f*prow`` in lowest terms: clears the pivot column of ``row``.
+
+    ``pivot_terms`` lists the nonzero ``(column, prow[column])`` of the
+    pivot row, ``p = prow[c]`` is its pivot and ``f = row[c]``.  For
+    ``p > 0`` the result is a positive multiple of the rational update
+    ``row - (f/p)*prow``, so every sign the caller reads is kept.  ``f``
+    and ``p`` are first divided by their gcd, which changes the result
+    only by a factor that the final division removes anyway.
+    """
+    g = math.gcd(f, p)
+    if g > 1:
+        f //= g
+        p //= g
+    new = row[:] if p == 1 else [a * p for a in row]
+    for j, t in pivot_terms:
+        new[j] -= f * t
+    return _lowest_terms(new)
+
+
+def _pivot_row(
+    prow: list[int], c: int
+) -> tuple[list[int], int, list[tuple[int, int]]]:
+    """``prow`` negated if need be so that its pivot ``prow[c]`` is
+    positive, with that pivot and its nonzero terms, for ``_eliminate``."""
+    if prow[c] < 0:
+        prow = [-v for v in prow]
+    return prow, prow[c], [(j, t) for j, t in enumerate(prow) if t]
+
+
+def _max_bits(row: list[int]) -> int:
+    return max(max(row), -min(row)).bit_length()
+
+
+def simplex_solve(
+    lp: LinearProgram, stats: dict | None = None
+) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of ``lp`` together with one optimal assignment.
 
     Two-phase primal simplex on a standard-form rewrite.  Entering and
     leaving variables follow Bland's rule (lowest eligible index), which
     rules out cycling and makes the run deterministic.
 
+    The tableau is held as rows of ``int``.  Each standard-form row is
+    scaled by the lcm of its denominators, and a row stands for itself
+    divided by its entry in its basic column, which is kept positive.
+    A pivot replaces every other row by ``row*p - f*prow`` divided by
+    the gcd of its entries, the ratio test compares ``rhs / entry`` by
+    cross-multiplication, and the cost row is scaled by positive factors
+    only.  Every decision therefore reads the same canonical tableau as
+    a ``Fraction`` tableau would, so the pivots, ``x`` and the value are
+    the ones that tableau gives; the basic values are divided out once,
+    at the end.
+
+    When ``stats`` is a dict, the solver sets ``pivots_phase1`` (the
+    phase-1 pivots, including those that drive artificials out of the
+    basis), ``pivots_phase2`` and ``max_bits``, the largest bit length
+    of any tableau or cost-row entry from set-up to the last pivot.
+
     Raises ``InfeasibleError`` / ``UnboundedError`` accordingly.
     """
-    nvars = len(lp.objective)
-
     # Rewrite each variable onto one or two nonnegative columns.
     # recipe: ("lo", col, lo) -> x = lo + y
     #         ("hi", col, hi) -> x = hi - y
@@ -118,8 +190,9 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             recipes.append(("split", ncols, ncols + 1))
             ncols += 2
 
-    def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-        row = [_ZERO] * ncols
+    # Standard-form rows are sparse: column -> nonzero coefficient.
+    def expand(coeffs: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction]:
+        row: dict[int, Fraction] = {}
         shift = _ZERO
         for a, recipe in zip(coeffs, recipes):
             if not a:
@@ -136,21 +209,19 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                 row[recipe[2]] = -a
         return row, shift
 
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
+    rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
     for coeffs, relation, rhs in lp.constraints:
         row, shift = expand(coeffs)
         b = rhs - shift
         if b < 0:
-            row = [-a for a in row]
+            row = {j: -a for j, a in row.items()}
             b = -b
             relation = {LE: GE, GE: LE, EQ: EQ}[relation]
         rows.append((row, relation, b))
     for col, width in box_rows:
         if width < 0:
             raise InfeasibleError("contradictory variable bounds")
-        row = [_ZERO] * ncols
-        row[col] = _ONE
-        rows.append((row, LE, width))
+        rows.append(({col: _ONE}, LE, width))
 
     m = len(rows)
     slack_of: dict[int, int] = {}
@@ -165,46 +236,57 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     n_art = len(art_of)
     width = ncols + n_slack + n_art
 
-    tableau: list[list[Fraction]] = []
+    # Column ``width`` is the right-hand side.
+    tableau: list[list[int]] = []
     basis: list[int] = []
     for i, (row, relation, b) in enumerate(rows):
-        full = row + [_ZERO] * (n_slack + n_art) + [b]
+        row[width] = b
         if relation == LE:
-            full[slack_of[i]] = _ONE
+            row[slack_of[i]] = _ONE
             basis.append(slack_of[i])
         elif relation == GE:
-            full[slack_of[i]] = -_ONE
-            full[art_of[i]] = _ONE
+            row[slack_of[i]] = -_ONE
+            row[art_of[i]] = _ONE
             basis.append(art_of[i])
         else:
-            full[art_of[i]] = _ONE
+            row[art_of[i]] = _ONE
             basis.append(art_of[i])
-        tableau.append(full)
+        tableau.append(_integer_row(row, width + 1))
 
-    def reduce_cost_row(raw: list[Fraction]) -> list[Fraction]:
-        cost = list(raw) + [_ZERO]
+    if stats is not None:
+        stats["pivots_phase1"] = stats["pivots_phase2"] = 0
+        stats["max_bits"] = max((_max_bits(row) for row in tableau), default=0)
+
+        def note(row: list[int]) -> None:
+            bits = _max_bits(row)
+            if bits > stats["max_bits"]:
+                stats["max_bits"] = bits
+
+    def reduce_cost_row(raw: dict[int, Fraction]) -> list[int]:
+        cost = _integer_row(raw, width + 1)
         for i, bj in enumerate(basis):
-            coef = cost[bj]
-            if coef:
-                trow = tableau[i]
-                cost = [a - coef * t if t else a for a, t in zip(cost, trow)]
+            f = cost[bj]
+            if f:
+                _, p, terms = _pivot_row(tableau[i], bj)
+                cost = _eliminate(cost, f, p, terms)
+        if stats is not None:
+            note(cost)
         return cost
 
-    def pivot(r: int, jc: int) -> list[Fraction]:
-        prow = tableau[r]
-        piv = prow[jc]
-        if piv != 1:
-            prow = [v / piv for v in prow]
-            tableau[r] = prow
+    def pivot(r: int, jc: int) -> tuple[int, list[tuple[int, int]]]:
+        tableau[r], p, terms = _pivot_row(tableau[r], jc)
         for i, row in enumerate(tableau):
             if i != r:
                 f = row[jc]
                 if f:
-                    tableau[i] = [a - f * t if t else a for a, t in zip(row, prow)]
+                    row = _eliminate(row, f, p, terms)
+                    tableau[i] = row
+                    if stats is not None:
+                        note(row)
         basis[r] = jc
-        return prow
+        return p, terms
 
-    def run(cost: list[Fraction], allowed: int) -> list[Fraction]:
+    def run(cost: list[int], allowed: int, counter: str) -> list[int]:
         while True:
             enter = -1
             for j in range(allowed):
@@ -213,32 +295,32 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                     break
             if enter < 0:
                 return cost
+            # ratios row[-1] / row[enter], compared by cross-multiplication
             best_row = -1
-            best_ratio = None
+            best_num = best_den = 0
             for i, row in enumerate(tableau):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
+                    lhs = row[-1] * best_den
+                    rhs = best_num * a
                     if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[best_row])
+                        best_row < 0
+                        or lhs < rhs
+                        or (lhs == rhs and basis[i] < basis[best_row])
                     ):
-                        best_ratio = ratio
+                        best_num, best_den = row[-1], a
                         best_row = i
             if best_row < 0:
                 raise UnboundedError("objective unbounded below")
-            prow = pivot(best_row, enter)
-            f = cost[enter]
-            if f:
-                cost = [a - f * t if t else a for a, t in zip(cost, prow)]
+            p, terms = pivot(best_row, enter)
+            cost = _eliminate(cost, cost[enter], p, terms)
+            if stats is not None:
+                stats[counter] += 1
+                note(cost)
 
     if n_art:
-        raw = [_ZERO] * width
-        for col in art_of.values():
-            raw[col] = _ONE
-        cost = reduce_cost_row(raw)
-        cost = run(cost, width)
+        cost = reduce_cost_row({col: _ONE for col in art_of.values()})
+        cost = run(cost, width, "pivots_phase1")
         if cost[-1] != 0:
             raise InfeasibleError("no feasible point")
         art_cols = set(art_of.values())
@@ -251,30 +333,33 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                     redundant.append(i)
                 else:
                     pivot(i, jc)
+                    if stats is not None:
+                        stats["pivots_phase1"] += 1
         for i in reversed(redundant):
             del tableau[i]
             del basis[i]
         tableau = [row[:structural] + row[-1:] for row in tableau]
         width = structural
 
-    std_cost = [_ZERO] * width
+    std_cost: dict[int, Fraction] = {}
     for c_j, recipe in zip(lp.objective, recipes):
         if not c_j:
             continue
         kind = recipe[0]
         if kind == "lo":
-            std_cost[recipe[1]] += c_j
+            std_cost[recipe[1]] = c_j
         elif kind == "hi":
-            std_cost[recipe[1]] -= c_j
+            std_cost[recipe[1]] = -c_j
         else:
-            std_cost[recipe[1]] += c_j
-            std_cost[recipe[2]] -= c_j
+            std_cost[recipe[1]] = c_j
+            std_cost[recipe[2]] = -c_j
     cost = reduce_cost_row(std_cost)
-    run(cost, width)
+    run(cost, width, "pivots_phase2")
 
     y = [_ZERO] * width
     for i, bj in enumerate(basis):
-        y[bj] = tableau[i][-1]
+        row = tableau[i]
+        y[bj] = Fraction(row[-1], row[bj])
     x: list[Fraction] = []
     for recipe in recipes:
         kind = recipe[0]
@@ -431,6 +516,12 @@ def least_squares_exact(
 
     Rank deficiency is fine: free variables are pinned to zero, so some
     minimizer is always returned (the normal equations are consistent).
+
+    ``A`` and ``target`` are scaled to ``int`` by the lcm of all their
+    denominators, which leaves the minimizers unchanged, and the normal
+    equations are reduced with the simplex's integer row update.  Pivot
+    choices read only which entries are zero, so they and the result
+    are those of the rational elimination.
     """
     m = len(rows)
     if len(target) != m:
@@ -443,15 +534,17 @@ def least_squares_exact(
         mat.append([exact_rational(a) for a in row])
     b = [exact_rational(t) for t in target]
 
-    # normal equations G x = g, reduced to RREF with exact pivots
-    aug: list[list[Fraction]] = []
+    # normal equations G x = g on the rows scaled by one common denominator
+    scale = math.lcm(*(a.denominator for row in (*mat, b) for a in row))
+    mat_int = [[a.numerator * (scale // a.denominator) for a in row] for row in mat]
+    b_int = [t.numerator * (scale // t.denominator) for t in b]
+    aug: list[list[int]] = []
     for i in range(k):
-        row = [
-            sum((mr[i] * mr[j] for mr in mat), _ZERO) for j in range(k)
-        ]
-        row.append(sum((mr[i] * t for mr, t in zip(mat, b)), _ZERO))
-        aug.append(row)
+        row = [sum(mr[i] * mr[j] for mr in mat_int) for j in range(k)]
+        row.append(sum(mr[i] * t for mr, t in zip(mat_int, b_int)))
+        aug.append(_lowest_terms(row))
 
+    # RREF: a pivot row stands for itself divided by its (positive) pivot
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(k):
@@ -459,15 +552,10 @@ def least_squares_exact(
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        prow = aug[r]
-        piv = prow[c]
-        if piv != 1:
-            prow = [v / piv for v in prow]
-            aug[r] = prow
+        aug[r], p, terms = _pivot_row(aug[r], c)
         for i in range(k):
             if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * t if t else a for a, t in zip(aug[i], prow)]
+                aug[i] = _eliminate(aug[i], aug[i][c], p, terms)
         pivots.append((r, c))
         r += 1
         if r == k:
@@ -475,5 +563,6 @@ def least_squares_exact(
 
     x = [_ZERO] * k
     for rr, cc in pivots:
-        x[cc] = aug[rr][-1]
+        row = aug[rr]
+        x[cc] = Fraction(row[-1], row[cc])
     return x

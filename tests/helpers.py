@@ -1,9 +1,11 @@
 """Shared test machinery: line spaces, alternative plans, exact rank,
-hypothesis strategies, and a generator of provably minimal pair sequences."""
+hypothesis strategies, a generator of provably minimal pair sequences,
+and the ``Fraction``-tableau simplex kept as an oracle for the pivot path."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -13,8 +15,18 @@ from tcspace import (
     TransportPlan,
     TransportationProblem,
 )
+from tcspace.solvers import (
+    EQ,
+    GE,
+    LE,
+    InfeasibleError,
+    LinearProgram,
+    UnboundedError,
+)
 
 ZERO = Fraction(0)
+_ZERO = ZERO
+_ONE = Fraction(1)
 
 
 def line_space(coords) -> FiniteMetricSpace:
@@ -124,3 +136,209 @@ def spaces_with_problems(draw, min_n: int = 3, max_n: int = 6, max_support=None)
     space = draw(metric_spaces(min_n, max_n))
     f = draw(zero_sum_problems(space.n, max_support))
     return space, f
+
+
+def reference_simplex(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
+    """Exact optimum of ``lp`` together with one optimal assignment.
+
+    The oracle for ``simplex_solve``: the same two-phase simplex on a
+    dense ``Fraction`` tableau, where every row is kept divided by its
+    pivot.  ``simplex_solve`` must take the same pivots and return the
+    same ``(value, x)``, or raise the same exception.
+
+    Two-phase primal simplex on a standard-form rewrite.  Entering and
+    leaving variables follow Bland's rule (lowest eligible index), which
+    rules out cycling and makes the run deterministic.
+
+    Raises ``InfeasibleError`` / ``UnboundedError`` accordingly.
+    """
+    nvars = len(lp.objective)
+
+    # Rewrite each variable onto one or two nonnegative columns.
+    # recipe: ("lo", col, lo) -> x = lo + y
+    #         ("hi", col, hi) -> x = hi - y
+    #         ("split", cp, cm) -> x = y+ - y-
+    recipes: list[tuple] = []
+    ncols = 0
+    box_rows: list[tuple[int, Fraction]] = []  # y_col <= width for doubly bounded
+    for lo, hi in lp.bounds:
+        if lo is not None:
+            recipes.append(("lo", ncols, lo))
+            if hi is not None:
+                box_rows.append((ncols, hi - lo))
+            ncols += 1
+        elif hi is not None:
+            recipes.append(("hi", ncols, hi))
+            ncols += 1
+        else:
+            recipes.append(("split", ncols, ncols + 1))
+            ncols += 2
+
+    def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
+        row = [_ZERO] * ncols
+        shift = _ZERO
+        for a, recipe in zip(coeffs, recipes):
+            if not a:
+                continue
+            kind = recipe[0]
+            if kind == "lo":
+                row[recipe[1]] = a
+                shift += a * recipe[2]
+            elif kind == "hi":
+                row[recipe[1]] = -a
+                shift += a * recipe[2]
+            else:
+                row[recipe[1]] = a
+                row[recipe[2]] = -a
+        return row, shift
+
+    rows: list[tuple[list[Fraction], str, Fraction]] = []
+    for coeffs, relation, rhs in lp.constraints:
+        row, shift = expand(coeffs)
+        b = rhs - shift
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
+            relation = {LE: GE, GE: LE, EQ: EQ}[relation]
+        rows.append((row, relation, b))
+    for col, width in box_rows:
+        if width < 0:
+            raise InfeasibleError("contradictory variable bounds")
+        row = [_ZERO] * ncols
+        row[col] = _ONE
+        rows.append((row, LE, width))
+
+    m = len(rows)
+    slack_of: dict[int, int] = {}
+    for i, (_, relation, _) in enumerate(rows):
+        if relation != EQ:
+            slack_of[i] = ncols + len(slack_of)
+    n_slack = len(slack_of)
+    art_of: dict[int, int] = {}
+    for i, (_, relation, _) in enumerate(rows):
+        if relation != LE:
+            art_of[i] = ncols + n_slack + len(art_of)
+    n_art = len(art_of)
+    width = ncols + n_slack + n_art
+
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    for i, (row, relation, b) in enumerate(rows):
+        full = row + [_ZERO] * (n_slack + n_art) + [b]
+        if relation == LE:
+            full[slack_of[i]] = _ONE
+            basis.append(slack_of[i])
+        elif relation == GE:
+            full[slack_of[i]] = -_ONE
+            full[art_of[i]] = _ONE
+            basis.append(art_of[i])
+        else:
+            full[art_of[i]] = _ONE
+            basis.append(art_of[i])
+        tableau.append(full)
+
+    def reduce_cost_row(raw: list[Fraction]) -> list[Fraction]:
+        cost = list(raw) + [_ZERO]
+        for i, bj in enumerate(basis):
+            coef = cost[bj]
+            if coef:
+                trow = tableau[i]
+                cost = [a - coef * t if t else a for a, t in zip(cost, trow)]
+        return cost
+
+    def pivot(r: int, jc: int) -> list[Fraction]:
+        prow = tableau[r]
+        piv = prow[jc]
+        if piv != 1:
+            prow = [v / piv for v in prow]
+            tableau[r] = prow
+        for i, row in enumerate(tableau):
+            if i != r:
+                f = row[jc]
+                if f:
+                    tableau[i] = [a - f * t if t else a for a, t in zip(row, prow)]
+        basis[r] = jc
+        return prow
+
+    def run(cost: list[Fraction], allowed: int) -> list[Fraction]:
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if cost[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return cost
+            best_row = -1
+            best_ratio = None
+            for i, row in enumerate(tableau):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[-1] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[best_row])
+                    ):
+                        best_ratio = ratio
+                        best_row = i
+            if best_row < 0:
+                raise UnboundedError("objective unbounded below")
+            prow = pivot(best_row, enter)
+            f = cost[enter]
+            if f:
+                cost = [a - f * t if t else a for a, t in zip(cost, prow)]
+
+    if n_art:
+        raw = [_ZERO] * width
+        for col in art_of.values():
+            raw[col] = _ONE
+        cost = reduce_cost_row(raw)
+        cost = run(cost, width)
+        if cost[-1] != 0:
+            raise InfeasibleError("no feasible point")
+        art_cols = set(art_of.values())
+        structural = ncols + n_slack
+        redundant: list[int] = []
+        for i in range(m):
+            if basis[i] in art_cols:
+                jc = next((j for j in range(structural) if tableau[i][j]), None)
+                if jc is None:
+                    redundant.append(i)
+                else:
+                    pivot(i, jc)
+        for i in reversed(redundant):
+            del tableau[i]
+            del basis[i]
+        tableau = [row[:structural] + row[-1:] for row in tableau]
+        width = structural
+
+    std_cost = [_ZERO] * width
+    for c_j, recipe in zip(lp.objective, recipes):
+        if not c_j:
+            continue
+        kind = recipe[0]
+        if kind == "lo":
+            std_cost[recipe[1]] += c_j
+        elif kind == "hi":
+            std_cost[recipe[1]] -= c_j
+        else:
+            std_cost[recipe[1]] += c_j
+            std_cost[recipe[2]] -= c_j
+    cost = reduce_cost_row(std_cost)
+    run(cost, width)
+
+    y = [_ZERO] * width
+    for i, bj in enumerate(basis):
+        y[bj] = tableau[i][-1]
+    x: list[Fraction] = []
+    for recipe in recipes:
+        kind = recipe[0]
+        if kind == "lo":
+            x.append(recipe[2] + y[recipe[1]])
+        elif kind == "hi":
+            x.append(recipe[2] - y[recipe[1]])
+        else:
+            x.append(y[recipe[1]] - y[recipe[2]])
+    value = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)
+    return value, x

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from tcspace import l1embed
+from tcspace import duality, l1embed
 from tcspace.cli import run
+from tcspace.solvers import UnboundedError
 
 LINE_METRIC = "3\n1 3\n2\n"
 LINE_PROBLEM = "0 2\n1 -1\n2 -1\n"
@@ -95,6 +96,15 @@ class TestNorms:
         lines = out_lines(capsys)
         assert lines[0] == "value 4"
         assert lines[3] == "h 2 0"
+
+    def test_solver_failure_is_not_an_input_error(self, files, monkeypatch):
+        # the dual LP of a validated input is bounded, so a raise is a bug
+        def broken(lp, stats=None):
+            raise UnboundedError("objective unbounded below")
+
+        monkeypatch.setattr(duality, "simplex_solve", broken)
+        with pytest.raises(UnboundedError):
+            run(["dual", str(files / "line.metric"), str(files / "f.problem")])
 
 
 class TestMatchingVerbs:

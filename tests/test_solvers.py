@@ -1,10 +1,11 @@
 """Exact simplex, min-cost flow, and least squares kernels."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcspace import (
@@ -19,10 +20,12 @@ from tcspace import (
     parse_rational,
     simplex_solve,
 )
+from tcspace import duality, quotient, transport
 from tcspace.rationals import data_lines
+from tcspace.sampling import random_metric_space, random_zero_sum_problem
 from tcspace.solvers import EQ, GE, LE
 
-from helpers import over_a_prime
+from helpers import over_a_prime, reference_simplex
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -208,6 +211,226 @@ class TestSimplexAgainstVertexEnumeration:
                     best = cand
         assert best is not None
         assert value == best
+
+
+def same_as_reference(lp):
+    """``simplex_solve`` agrees with the ``Fraction`` tableau on ``lp``:
+    the same ``(value, x)``, or the same exception."""
+    try:
+        expected = reference_simplex(lp)
+    except (InfeasibleError, UnboundedError) as exc:
+        with pytest.raises(type(exc)):
+            simplex_solve(lp)
+        return
+    value, x = simplex_solve(lp)
+    assert (value, x) == expected
+    assert type(value) is F and all(type(v) is F for v in x)
+
+
+BOUND_KINDS = ("lo", "hi", "box", "free")
+
+
+@st.composite
+def mixed_lps(draw, coeff=small, kinds=BOUND_KINDS):
+    """Any relation, any bound kind; may be infeasible or unbounded."""
+    nvars = draw(st.integers(1, 4))
+    objective = [draw(coeff) for _ in range(nvars)]
+    relation = st.sampled_from((LE, EQ, GE))
+    constraints = [
+        ([draw(coeff) for _ in range(nvars)], draw(relation), draw(coeff))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    bounds = []
+    for _ in range(nvars):
+        kind = draw(st.sampled_from(kinds))
+        lo, hi = draw(coeff), draw(coeff)
+        if kind == "box":
+            lo, hi = min(lo, hi), max(lo, hi)
+        bounds.append(
+            (
+                lo if kind in ("lo", "box") else None,
+                hi if kind in ("hi", "box") else None,
+            )
+        )
+    return LinearProgram(objective, constraints, bounds)
+
+
+@st.composite
+def degenerate_lps(draw):
+    """0/1/2 rows sharing the right-hand side 1, with alternative optima.
+
+    Ratio ties are frequent, and a tie broken the other way can end at
+    another optimal vertex, so a changed tie-break shows in ``x``.
+    """
+    nvars = draw(st.integers(4, 8))
+    relation, costs = draw(
+        st.sampled_from(((LE, (F(-1), F(0))), (GE, (F(1), F(1), F(2)))))
+    )
+    entry = st.sampled_from((F(0), F(1), F(1), F(2)))
+    constraints = [
+        ([draw(entry) for _ in range(nvars)], relation, F(1)) for _ in range(nvars)
+    ]
+    objective = [draw(st.sampled_from(costs)) for _ in range(nvars)]
+    return LinearProgram(objective, constraints, [(F(0), None)] * nvars)
+
+
+@st.composite
+def redundant_equality_lps(draw):
+    """Feasible equality systems padded with combinations of their rows."""
+    nvars = draw(st.integers(2, 4))
+    point = [draw(st.integers(0, 3)) for _ in range(nvars)]
+    base = [[draw(small) for _ in range(nvars)] for _ in range(draw(st.integers(1, 3)))]
+    rows = list(base)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(small), draw(small)
+        i, j = draw(st.integers(0, len(base) - 1)), draw(st.integers(0, len(base) - 1))
+        rows.append([a * u + b * v for u, v in zip(base[i], base[j])])
+    constraints = [(row, EQ, sum(c * p for c, p in zip(row, point))) for row in rows]
+    relation = draw(st.sampled_from((EQ, GE)))
+    constraints.append(([F(1)] * nvars, relation, F(sum(point))))
+    objective = [draw(small) for _ in range(nvars)]
+    return LinearProgram(objective, constraints, [(F(0), F(5))] * nvars)
+
+
+class TestSimplexAgainstReference:
+    """The integer tableau must follow the ``Fraction`` tableau's pivot path."""
+
+    @given(box_lps())
+    def test_box_lps(self, lp):
+        same_as_reference(lp)
+
+    @given(mixed_lps())
+    def test_mixed_relations_and_bounds(self, lp):
+        same_as_reference(lp)
+
+    @given(mixed_lps(coeff=over_a_prime(-3, 3)))
+    def test_coprime_denominators(self, lp):
+        same_as_reference(lp)
+
+    @settings(max_examples=200)
+    @given(degenerate_lps())
+    def test_degenerate_ties(self, lp):
+        same_as_reference(lp)
+
+    @given(redundant_equality_lps())
+    def test_redundant_equalities(self, lp):
+        same_as_reference(lp)
+
+    @given(mixed_lps(kinds=("hi", "box")))
+    def test_upper_and_boxed_bounds(self, lp):
+        same_as_reference(lp)
+
+    def test_beale_cycling_example(self):
+        # cycles under the largest-coefficient rule; Bland's rule must not
+        lp = LinearProgram(
+            [F(-3, 4), F(20), F(-1, 2), F(6)],
+            [
+                ([F(1, 4), F(-8), F(-1), F(9)], LE, F(0)),
+                ([F(1, 2), F(-12), F(-1, 2), F(3)], LE, F(0)),
+                ([F(0), F(0), F(1), F(0)], LE, F(1)),
+            ],
+            [(F(0), None)] * 4,
+        )
+        optimum = (F(-5, 4), [F(1), F(0), F(1), F(0)])
+        assert simplex_solve(lp) == reference_simplex(lp) == optimum
+
+    @pytest.mark.parametrize(
+        "lp,error",
+        [
+            (LinearProgram([F(-1)], [], [(F(0), None)]), UnboundedError),
+            (
+                LinearProgram([F(1), F(-1)], [([F(1), F(-1)], LE, F(1))]),
+                UnboundedError,
+            ),
+            (
+                LinearProgram([F(1)], [([F(1)], LE, F(-1))], [(F(0), None)]),
+                InfeasibleError,
+            ),
+            (LinearProgram([F(1)], [], [(F(2), F(1))]), InfeasibleError),
+            (
+                LinearProgram(
+                    [F(0), F(0)],
+                    [([F(1), F(1)], EQ, F(1)), ([F(2), F(2)], EQ, F(3))],
+                    [(F(0), None)] * 2,
+                ),
+                InfeasibleError,
+            ),
+        ],
+    )
+    def test_same_exception(self, lp, error):
+        with pytest.raises(error):
+            reference_simplex(lp)
+        with pytest.raises(error):
+            simplex_solve(lp)
+
+
+def seeded_instance(seed: int, n: int):
+    rng = random.Random(seed)
+    space = random_metric_space(rng, n)
+    return space, random_zero_sum_problem(rng, space, n)
+
+
+class TestCertificatesAgainstReference:
+    """Dual certificates and quotient representatives do not move."""
+
+    @pytest.mark.parametrize("seed,n", [(0, 6), (1, 8), (2, 9), (3, 11), (4, 12)])
+    def test_dual_and_quotient(self, seed, n, monkeypatch):
+        space, f = seeded_instance(seed, n)
+        plan = transport.tc_norm(space, f)[1]
+        lifted = quotient.lift_plan(plan, n)
+        h, value = duality.dual_optimal(space, f)
+        q_value, rep = quotient.quotient_norm(space, lifted)
+        monkeypatch.setattr(duality, "simplex_solve", reference_simplex)
+        monkeypatch.setattr(quotient, "simplex_solve", reference_simplex)
+        assert duality.dual_optimal(space, f) == (h, value)
+        q_ref, rep_ref = quotient.quotient_norm(space, lifted)
+        assert q_ref == q_value
+        assert rep_ref.entries == rep.entries
+
+
+def recording(stats):
+    def solve(lp):
+        return simplex_solve(lp, stats)
+
+    return solve
+
+
+class TestSimplexStats:
+    def test_counts_are_deterministic(self, monkeypatch):
+        space, f = seeded_instance(5, 9)
+        lifted = quotient.lift_plan(transport.tc_norm(space, f)[1], space.n)
+        runs = []
+        for _ in range(2):
+            stats = {}
+            monkeypatch.setattr(quotient, "simplex_solve", recording(stats))
+            quotient.quotient_norm(space, lifted)
+            runs.append(stats)
+        assert runs[0] == runs[1]
+        assert runs[0]["pivots_phase1"] > 0
+
+    def test_stats_do_not_change_the_result(self):
+        lp = LinearProgram(
+            [F(1), F(1)],
+            [([F(1), F(2)], GE, F(4)), ([F(3), F(1)], GE, F(6))],
+            [(F(0), None), (F(0), None)],
+        )
+        stats = {}
+        assert simplex_solve(lp, stats) == simplex_solve(lp)
+        assert set(stats) == {"pivots_phase1", "pivots_phase2", "max_bits"}
+        assert stats["pivots_phase1"] + stats["pivots_phase2"] > 0
+
+    def test_bits_stay_small_on_the_largest_lps(self, monkeypatch):
+        space, f = seeded_instance(16, quotient.QUOTIENT_POINT_LIMIT)
+        lifted = quotient.lift_plan(transport.tc_norm(space, f)[1], space.n)
+        q_stats = {}
+        monkeypatch.setattr(quotient, "simplex_solve", recording(q_stats))
+        quotient.quotient_norm(space, lifted)
+        space, f = seeded_instance(32, duality.DUAL_POINT_LIMIT)
+        d_stats = {}
+        monkeypatch.setattr(duality, "simplex_solve", recording(d_stats))
+        duality.dual_optimal(space, f)
+        assert 0 < q_stats["max_bits"] <= 64
+        assert 0 < d_stats["max_bits"] <= 64
 
 
 class TestMinCostFlow:
