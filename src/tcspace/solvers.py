@@ -139,13 +139,7 @@ def _pivot_row(
     return prow, prow[c], [(j, t) for j, t in enumerate(prow) if t]
 
 
-def _max_bits(row: list[int]) -> int:
-    return max(max(row), -min(row)).bit_length()
-
-
-def simplex_solve(
-    lp: LinearProgram, stats: dict | None = None
-) -> tuple[Fraction, list[Fraction]]:
+def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of ``lp`` together with one optimal assignment.
 
     Two-phase primal simplex on a standard-form rewrite.  Entering and
@@ -162,11 +156,6 @@ def simplex_solve(
     a ``Fraction`` tableau would, so the pivots, ``x`` and the value are
     the ones that tableau gives; the basic values are divided out once,
     at the end.
-
-    When ``stats`` is a dict, the solver sets ``pivots_phase1`` (the
-    phase-1 pivots, including those that drive artificials out of the
-    basis), ``pivots_phase2`` and ``max_bits``, the largest bit length
-    of any tableau or cost-row entry from set-up to the last pivot.
 
     Raises ``InfeasibleError`` / ``UnboundedError`` accordingly.
     """
@@ -253,15 +242,6 @@ def simplex_solve(
             basis.append(art_of[i])
         tableau.append(_integer_row(row, width + 1))
 
-    if stats is not None:
-        stats["pivots_phase1"] = stats["pivots_phase2"] = 0
-        stats["max_bits"] = max((_max_bits(row) for row in tableau), default=0)
-
-        def note(row: list[int]) -> None:
-            bits = _max_bits(row)
-            if bits > stats["max_bits"]:
-                stats["max_bits"] = bits
-
     def reduce_cost_row(raw: dict[int, Fraction]) -> list[int]:
         cost = _integer_row(raw, width + 1)
         for i, bj in enumerate(basis):
@@ -269,8 +249,6 @@ def simplex_solve(
             if f:
                 _, p, terms = _pivot_row(tableau[i], bj)
                 cost = _eliminate(cost, f, p, terms)
-        if stats is not None:
-            note(cost)
         return cost
 
     def pivot(r: int, jc: int) -> tuple[int, list[tuple[int, int]]]:
@@ -279,14 +257,11 @@ def simplex_solve(
             if i != r:
                 f = row[jc]
                 if f:
-                    row = _eliminate(row, f, p, terms)
-                    tableau[i] = row
-                    if stats is not None:
-                        note(row)
+                    tableau[i] = _eliminate(row, f, p, terms)
         basis[r] = jc
         return p, terms
 
-    def run(cost: list[int], allowed: int, counter: str) -> list[int]:
+    def run(cost: list[int], allowed: int) -> list[int]:
         while True:
             enter = -1
             for j in range(allowed):
@@ -314,13 +289,10 @@ def simplex_solve(
                 raise UnboundedError("objective unbounded below")
             p, terms = pivot(best_row, enter)
             cost = _eliminate(cost, cost[enter], p, terms)
-            if stats is not None:
-                stats[counter] += 1
-                note(cost)
 
     if n_art:
         cost = reduce_cost_row({col: _ONE for col in art_of.values()})
-        cost = run(cost, width, "pivots_phase1")
+        cost = run(cost, width)
         if cost[-1] != 0:
             raise InfeasibleError("no feasible point")
         art_cols = set(art_of.values())
@@ -333,8 +305,6 @@ def simplex_solve(
                     redundant.append(i)
                 else:
                     pivot(i, jc)
-                    if stats is not None:
-                        stats["pivots_phase1"] += 1
         for i in reversed(redundant):
             del tableau[i]
             del basis[i]
@@ -354,7 +324,7 @@ def simplex_solve(
             std_cost[recipe[1]] = c_j
             std_cost[recipe[2]] = -c_j
     cost = reduce_cost_row(std_cost)
-    run(cost, width, "pivots_phase2")
+    run(cost, width)
 
     y = [_ZERO] * width
     for i, bj in enumerate(basis):

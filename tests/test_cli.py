@@ -99,7 +99,7 @@ class TestNorms:
 
     def test_solver_failure_is_not_an_input_error(self, files, monkeypatch):
         # the dual LP of a validated input is bounded, so a raise is a bug
-        def broken(lp, stats=None):
+        def broken(lp):
             raise UnboundedError("objective unbounded below")
 
         monkeypatch.setattr(duality, "simplex_solve", broken)

@@ -20,7 +20,7 @@ from tcspace import (
     parse_rational,
     simplex_solve,
 )
-from tcspace import duality, quotient, transport
+from tcspace import duality, quotient, solvers, transport
 from tcspace.rationals import data_lines
 from tcspace.sampling import random_metric_space, random_zero_sum_problem
 from tcspace.solvers import EQ, GE, LE
@@ -388,49 +388,35 @@ class TestCertificatesAgainstReference:
         assert rep_ref.entries == rep.entries
 
 
-def recording(stats):
-    def solve(lp):
-        return simplex_solve(lp, stats)
+def bit_recording(monkeypatch):
+    """Wrap the integer-row helpers; the returned list collects the
+    largest entry bit length of every row they hand back."""
+    bits = []
 
-    return solve
+    def record(helper):
+        def wrapped(*args):
+            row = helper(*args)
+            bits.append(max(max(row), -min(row)).bit_length())
+            return row
+
+        return wrapped
+
+    monkeypatch.setattr(solvers, "_eliminate", record(solvers._eliminate))
+    monkeypatch.setattr(solvers, "_integer_row", record(solvers._integer_row))
+    return bits
 
 
-class TestSimplexStats:
-    def test_counts_are_deterministic(self, monkeypatch):
-        space, f = seeded_instance(5, 9)
-        lifted = quotient.lift_plan(transport.tc_norm(space, f)[1], space.n)
-        runs = []
-        for _ in range(2):
-            stats = {}
-            monkeypatch.setattr(quotient, "simplex_solve", recording(stats))
-            quotient.quotient_norm(space, lifted)
-            runs.append(stats)
-        assert runs[0] == runs[1]
-        assert runs[0]["pivots_phase1"] > 0
-
-    def test_stats_do_not_change_the_result(self):
-        lp = LinearProgram(
-            [F(1), F(1)],
-            [([F(1), F(2)], GE, F(4)), ([F(3), F(1)], GE, F(6))],
-            [(F(0), None), (F(0), None)],
-        )
-        stats = {}
-        assert simplex_solve(lp, stats) == simplex_solve(lp)
-        assert set(stats) == {"pivots_phase1", "pivots_phase2", "max_bits"}
-        assert stats["pivots_phase1"] + stats["pivots_phase2"] > 0
-
+class TestCoefficientGrowth:
     def test_bits_stay_small_on_the_largest_lps(self, monkeypatch):
+        bits = bit_recording(monkeypatch)
         space, f = seeded_instance(16, quotient.QUOTIENT_POINT_LIMIT)
         lifted = quotient.lift_plan(transport.tc_norm(space, f)[1], space.n)
-        q_stats = {}
-        monkeypatch.setattr(quotient, "simplex_solve", recording(q_stats))
         quotient.quotient_norm(space, lifted)
+        assert bits and max(bits) <= 64
+        bits.clear()
         space, f = seeded_instance(32, duality.DUAL_POINT_LIMIT)
-        d_stats = {}
-        monkeypatch.setattr(duality, "simplex_solve", recording(d_stats))
         duality.dual_optimal(space, f)
-        assert 0 < q_stats["max_bits"] <= 64
-        assert 0 < d_stats["max_bits"] <= 64
+        assert bits and max(bits) <= 64
 
 
 class TestMinCostFlow:
