@@ -63,9 +63,7 @@ from .solvers import (
     FlowNetwork,
     InfeasibleError,
     LinearProgram,
-    Rational,
     UnboundedError,
-    least_squares_exact,
     min_cost_flow,
     simplex_solve,
 )

@@ -24,7 +24,7 @@ from .rationals import (
     format_rational,
     indexed_lines,
 )
-from .solvers import GE, LinearProgram, least_squares_exact, simplex_solve
+from .solvers import GE, LinearProgram, simplex_solve
 from .transport import TransportPlan, TransportationProblem
 
 _ZERO = Fraction(0)
@@ -37,7 +37,7 @@ QUOTIENT_POINT_LIMIT = 16
 
 @dataclass(frozen=True)
 class EdgeVector(SparseVector):
-    """Rational values on the edges of the complete graph on ``n`` points.
+    """Exact rational values on the edges of the complete graph on ``n`` points.
 
     Keys are ``(i, j)`` with ``int`` indices (``bool`` is refused) and
     ``0 <= i < j < n``.  Entries are merged,
@@ -190,18 +190,19 @@ def cut_decomposition(f: EdgeVector) -> tuple[EdgeVector, EdgeVector]:
     ``b`` is the orthogonal projection of ``f`` onto the span of the
     point-function gradients, taken in the unweighted Euclidean inner
     product on edge space (the split does not depend on any metric).
+    It is the gradient ``b_ij = h_j - h_i`` of any solution ``h`` of the
+    normal equations ``L h = beta``, where ``beta = boundary(f)`` and
+    ``L = nI - J`` is the Laplacian of the complete graph.  The entries
+    of ``beta`` sum to zero, so ``J beta = 0`` and ``h = beta / n`` is
+    such a solution: ``b_ij = (beta_j - beta_i) / n``.
     """
     n = f.n
-    edges = all_edges(n)
-    rows = []
-    for i, j in edges:
-        row = [_ZERO] * n
-        row[j] = Fraction(1)
-        row[i] = Fraction(-1)
-        rows.append(row)
-    target = [f.value(i, j) for i, j in edges]
-    h = least_squares_exact(rows, target)
-    b = EdgeVector.from_values(n, {(i, j): h[j] - h[i] for i, j in edges})
+    beta = [_ZERO] * n
+    for v, a in boundary(f).entries:
+        beta[v] = a
+    b = EdgeVector.from_values(
+        n, {(i, j): (beta[j] - beta[i]) / n for i, j in all_edges(n)}
+    )
     return f - b, b
 
 

@@ -1,18 +1,17 @@
 """Exact optimization kernels shared by the rest of the package.
 
-Three primitives, all exact: a two-phase simplex solver using Bland's
-anti-cycling rule, a successive-shortest-path minimum-cost flow solver
-with node potentials, and a least-squares solver working through the
-normal equations.  Inputs and results are ``fractions.Fraction``, but
-no kernel computes in ``Fraction`` below its set-up.  The simplex and
-least-squares kernels scale their rows to ``int`` by the lcm of the
-denominators and eliminate with ``row*p - f*prow`` and one gcd division
-per updated row; a row stands for itself divided by its pivot entry,
-so the simplex takes exactly the pivots of a ``Fraction`` tableau.  The
-flow kernel scales its amounts and its costs to integers by one common
-denominator each.  Each kernel divides back to ``Fraction`` once, at
-the end.  Every tie is broken by lowest index, so results are
-deterministic, and no step ever rounds.
+Two primitives, both exact: a two-phase simplex solver using Bland's
+anti-cycling rule, and a successive-shortest-path minimum-cost flow
+solver with node potentials.  Inputs and results are
+``fractions.Fraction``, but neither kernel computes in ``Fraction``
+below its set-up.  The simplex scales its rows to ``int`` by the lcm
+of the denominators and eliminates with ``row*p - f*prow`` and one gcd
+division per updated row; a row stands for itself divided by its pivot
+entry, so the simplex takes exactly the pivots of a ``Fraction``
+tableau.  The flow kernel scales its amounts and its costs to integers
+by one common denominator each.  Each kernel divides back to
+``Fraction`` once, at the end.  Every tie is broken by lowest index,
+so results are deterministic, and no step ever rounds.
 """
 
 from __future__ import annotations
@@ -23,12 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .rationals import exact_rational
-
-# The rational carrier for the whole package.  ``fractions.Fraction``
-# already guarantees lowest terms, positive denominators and exact
-# arithmetic at arbitrary precision, which is everything the exact
-# pipeline needs.
-Rational = Fraction
 
 LE = "<="
 EQ = "=="
@@ -311,18 +304,7 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         tableau = [row[:structural] + row[-1:] for row in tableau]
         width = structural
 
-    std_cost: dict[int, Fraction] = {}
-    for c_j, recipe in zip(lp.objective, recipes):
-        if not c_j:
-            continue
-        kind = recipe[0]
-        if kind == "lo":
-            std_cost[recipe[1]] = c_j
-        elif kind == "hi":
-            std_cost[recipe[1]] = -c_j
-        else:
-            std_cost[recipe[1]] = c_j
-            std_cost[recipe[2]] = -c_j
+    std_cost, _ = expand(lp.objective)
     cost = reduce_cost_row(std_cost)
     run(cost, width)
 
@@ -478,61 +460,3 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
     flows = tuple(Fraction(f, scale) for f in scaled)
     return Fraction(total, scale * cost_scale), flows
 
-
-def least_squares_exact(
-    rows: Sequence[Sequence], target: Sequence
-) -> list[Fraction]:
-    """An exact minimizer of ``||A x - target||_2`` via the normal equations.
-
-    Rank deficiency is fine: free variables are pinned to zero, so some
-    minimizer is always returned (the normal equations are consistent).
-
-    ``A`` and ``target`` are scaled to ``int`` by the lcm of all their
-    denominators, which leaves the minimizers unchanged, and the normal
-    equations are reduced with the simplex's integer row update.  Pivot
-    choices read only which entries are zero, so they and the result
-    are those of the rational elimination.
-    """
-    m = len(rows)
-    if len(target) != m:
-        raise ValueError("matrix and target dimensions do not match")
-    k = len(rows[0]) if m else 0
-    mat: list[list[Fraction]] = []
-    for row in rows:
-        if len(row) != k:
-            raise ValueError("ragged matrix")
-        mat.append([exact_rational(a) for a in row])
-    b = [exact_rational(t) for t in target]
-
-    # normal equations G x = g on the rows scaled by one common denominator
-    scale = math.lcm(*(a.denominator for row in (*mat, b) for a in row))
-    mat_int = [[a.numerator * (scale // a.denominator) for a in row] for row in mat]
-    b_int = [t.numerator * (scale // t.denominator) for t in b]
-    aug: list[list[int]] = []
-    for i in range(k):
-        row = [sum(mr[i] * mr[j] for mr in mat_int) for j in range(k)]
-        row.append(sum(mr[i] * t for mr, t in zip(mat_int, b_int)))
-        aug.append(_lowest_terms(row))
-
-    # RREF: a pivot row stands for itself divided by its (positive) pivot
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, k) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        aug[r], p, terms = _pivot_row(aug[r], c)
-        for i in range(k):
-            if i != r and aug[i][c]:
-                aug[i] = _eliminate(aug[i], aug[i][c], p, terms)
-        pivots.append((r, c))
-        r += 1
-        if r == k:
-            break
-
-    x = [_ZERO] * k
-    for rr, cc in pivots:
-        row = aug[rr]
-        x[cc] = Fraction(row[-1], row[cc])
-    return x

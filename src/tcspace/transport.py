@@ -88,9 +88,16 @@ class TransportPlan:
         return sum((a * space.dist[x][y] for x, y, a in self.moves), _ZERO)
 
 
-def _check_support(space: FiniteMetricSpace, f: TransportationProblem) -> None:
+def _signed_parts(
+    space: FiniteMetricSpace, f: TransportationProblem
+) -> tuple[list[tuple[int, Fraction]], list[tuple[int, Fraction]]]:
+    """The ``(point, amount)`` pairs where ``f > 0`` and where ``f < 0``,
+    amounts positive in both, once the support is checked against ``space``."""
     for v, _ in f.entries:
         check_index(v, space.n, "support point")
+    pos = [(v, a) for v, a in f.entries if a > 0]
+    neg = [(v, -a) for v, a in f.entries if a < 0]
+    return pos, neg
 
 
 def l1_norm(f: TransportationProblem) -> Fraction:
@@ -107,9 +114,7 @@ def tc_norm(
     negative part.  The plan's moves go from points with f > 0 to points
     with f < 0 only; optimal plans need not be unique.
     """
-    _check_support(space, f)
-    pos = [(v, a) for v, a in f.entries if a > 0]
-    neg = [(v, -a) for v, a in f.entries if a < 0]
+    pos, neg = _signed_parts(space, f)
     if not pos:
         return _ZERO, TransportPlan((), _ZERO)
     supplies = [a for _, a in pos] + [-a for _, a in neg]
@@ -135,14 +140,12 @@ def tc_brute_force(space: FiniteMetricSpace, f: TransportationProblem) -> Fracti
     simplex solver; no flow machinery is involved.  Support is capped at
     ``BRUTE_FORCE_SUPPORT_LIMIT`` points.
     """
-    _check_support(space, f)
+    pos, neg = _signed_parts(space, f)
     if len(f.entries) > BRUTE_FORCE_SUPPORT_LIMIT:
         raise ValueError(
             f"support too large for the brute-force route "
             f"(limit {BRUTE_FORCE_SUPPORT_LIMIT})"
         )
-    pos = [(v, a) for v, a in f.entries if a > 0]
-    neg = [(v, -a) for v, a in f.entries if a < 0]
     if not pos:
         return _ZERO
     np_, nn_ = len(pos), len(neg)

@@ -1,6 +1,8 @@
 """Shared test machinery: line spaces, alternative plans, exact rank,
 hypothesis strategies, a generator of provably minimal pair sequences,
-and the ``Fraction``-tableau simplex kept as an oracle for the pivot path."""
+the ``Fraction``-tableau simplex kept as an oracle for the pivot path,
+and an exact least-squares solver kept as an oracle for the cut/cycle
+split."""
 
 from __future__ import annotations
 
@@ -342,3 +344,58 @@ def reference_simplex(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             x.append(y[recipe[1]] - y[recipe[2]])
     value = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)
     return value, x
+
+
+def reference_least_squares(
+    rows: Sequence[Sequence], target: Sequence
+) -> list[Fraction]:
+    """An exact minimizer of ``||A x - target||_2`` via the normal equations.
+
+    The oracle for ``cut_decomposition``: plain ``Fraction`` Gauss-Jordan
+    elimination, sharing no code with the package's kernels.  Rank
+    deficiency is fine: free variables are pinned to zero, so some
+    minimizer is always returned (the normal equations are consistent).
+    """
+    m = len(rows)
+    if len(target) != m:
+        raise ValueError("matrix and target dimensions do not match")
+    k = len(rows[0]) if m else 0
+    mat: list[list[Fraction]] = []
+    for row in rows:
+        if len(row) != k:
+            raise ValueError("ragged matrix")
+        mat.append([Fraction(a) for a in row])
+    b = [Fraction(t) for t in target]
+
+    # normal equations G x = g, reduced to RREF with exact pivots
+    aug: list[list[Fraction]] = []
+    for i in range(k):
+        row = [sum((mr[i] * mr[j] for mr in mat), _ZERO) for j in range(k)]
+        row.append(sum((mr[i] * t for mr, t in zip(mat, b)), _ZERO))
+        aug.append(row)
+
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, k) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        prow = aug[r]
+        piv = prow[c]
+        if piv != 1:
+            prow = [v / piv for v in prow]
+            aug[r] = prow
+        for i in range(k):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * t if t else a for a, t in zip(aug[i], prow)]
+        pivots.append((r, c))
+        r += 1
+        if r == k:
+            break
+
+    x = [_ZERO] * k
+    for rr, cc in pivots:
+        x[cc] = aug[rr][-1]
+    return x

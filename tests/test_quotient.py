@@ -29,6 +29,8 @@ from helpers import (
     exact_rank,
     line_space,
     metric_spaces,
+    over_a_prime,
+    reference_least_squares,
     relay_plan,
     spaces_with_problems,
 )
@@ -260,6 +262,24 @@ class TestCutDecomposition:
         z, _ = cut_decomposition(f)
         h = LipFunction(tuple(data.draw(small) for _ in range(space.n)))
         assert dot(z, gradient_field(space, h)) == F(0)
+
+    @given(st.data())
+    def test_matches_least_squares_projection(self, data):
+        # coprime denominators, so the closed form meets large lcms
+        n = data.draw(st.integers(1, 8))
+        edges = all_edges(n)
+        f = EdgeVector.from_values(
+            n, {e: data.draw(over_a_prime(-4, 4)) for e in edges}
+        )
+        z, b = cut_decomposition(f)
+        rows = [[F((v == j) - (v == i)) for v in range(n)] for i, j in edges]
+        h = reference_least_squares(rows, dense(f))
+        projection = EdgeVector.from_values(
+            n, {(i, j): h[j] - h[i] for i, j in edges}
+        )
+        assert (z, b) == (f - projection, projection)
+        if n == 1:
+            assert z.is_zero and b.is_zero
 
 
 class TestTextFormat:

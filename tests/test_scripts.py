@@ -1,5 +1,6 @@
-"""Smoke runs of the scripts on small arguments."""
+"""Smoke runs of the scripts and the benchmark on small arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,25 @@ def test_family_report():
         " a matching of weight 10/3 is lighter",
         "  crossed pairs:     inconclusive after 2 prefixes",
     ]
+
+
+def test_benchmark_traced_certify():
+    # The tracer wraps solver and route functions by module attribute,
+    # so a rename or move that it misses shows up here as no simplex calls.
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "run.py"),
+            *("--workload", "certify", "--seed", "3"),
+            *("--seconds", "0.5", "--trace", "1"),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["correct"] is True
+    assert report["failed"] == 0
+    assert report["metrics"]["solvers.simplex_calls"]["value"] > 0

