@@ -22,6 +22,8 @@ FILES = {
     "badindex.edges": "0 x 1\n",
     "backwards.edges": "2 1 1\n",
     "unbalanced.problem": "0 1\n",
+    "tri.metric": "3\n1/2 3\n1/3\n",
+    "zero.metric": "3\n1 0\n1\n",
 }
 
 # (argv, exit code, stdout)
@@ -806,6 +808,18 @@ INPUT_ERRORS = [
     (
         ["quad-check", "--family", "b", "--max", "3"],
         "error: quadruple sweep needs max_index >= 4\n",
+    ),
+    (
+        ["validate", "tri.metric"],
+        "error: DIR/tri.metric: triangle violated at (0, 1, 2): 3 > 1/2 + 1/3\n",
+    ),
+    (
+        ["validate", "zero.metric"],
+        "error: DIR/zero.metric: positivity violated at (0, 2): d=0\n",
+    ),
+    (
+        ["matching", "tri.metric", "--vertices", "0,1"],
+        "error: DIR/tri.metric: triangle violated at (0, 1, 2): 3 > 1/2 + 1/3\n",
     ),
 ]
 
