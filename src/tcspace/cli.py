@@ -76,14 +76,14 @@ def _comma_list(option: str, text: str, parse_item, build=tuple):
 
 
 def _vertex(chunk: str) -> int:
-    if not chunk.isdigit():
+    if not chunk.isdecimal():
         raise ValueError(f"expected integers, got {chunk!r}")
     return int(chunk)
 
 
 def _pair(chunk: str) -> tuple[int, int]:
     left, sep, right = chunk.partition(":")
-    if not sep or not left.strip().isdigit() or not right.strip().isdigit():
+    if not sep or not left.strip().isdecimal() or not right.strip().isdecimal():
         raise ValueError(f"expected 'x:y' entries, got {chunk!r}")
     return int(left), int(right)
 

@@ -110,6 +110,7 @@ def quadruple_inequality_check(family_tag: str, max_index: int) -> QuadrupleRepo
 
     Quadruples q1 < q2 < q3 < q4 range over the 1-based family indices
     up to ``max_index``; any non-strict case is collected as a violation.
+    The sums compare the family space's integer matrix ``int_dist``.
     ``max_index`` is capped at ``QUADRUPLE_INDEX_LIMIT``.
     """
     if max_index < 4:
@@ -119,8 +120,7 @@ def quadruple_inequality_check(family_tag: str, max_index: int) -> QuadrupleRepo
             "max_index too large for the quadruple sweep "
             f"(limit {QUADRUPLE_INDEX_LIMIT})"
         )
-    space = family_metric(family_tag, max_index)
-    d = space.dist
+    d = family_metric(family_tag, max_index).int_dist
     violations = []
     count = 0
     for q1, q2, q3, q4 in itertools.combinations(range(1, max_index + 1), 4):

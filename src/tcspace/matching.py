@@ -82,26 +82,29 @@ def min_weight_perfect_matching(
 ) -> Matching:
     """Exact minimum-weight perfect matching of ``vertices`` (subset DP).
 
-    Weight ties are resolved to the lexicographically smallest edge
-    list, so the result is deterministic.  Capped at
-    ``DP_VERTEX_LIMIT`` vertices.
+    The DP runs on the space's integer matrix ``int_dist`` and divides
+    the total by ``scale`` once.  Weight ties are resolved to the
+    lexicographically smallest edge list, so the result is
+    deterministic.  Capped at ``DP_VERTEX_LIMIT`` vertices.
     """
     vs = _checked_vertices(space, vertices, DP_VERTEX_LIMIT)
-    d = space.dist
-    memo: dict[int, Fraction] = {0: _ZERO}
+    m = space.int_dist
+    rows = [[m[a][b] for b in vs] for a in vs]
+    memo: dict[int, int] = {0: 0}
 
-    def best(mask: int) -> Fraction:
+    def best(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
         low = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << low)
+        row = rows[low]
         best_w = None
         sub = rest
         while sub:
             j = (sub & -sub).bit_length() - 1
             sub ^= 1 << j
-            w = d[vs[low]][vs[j]] + best(rest ^ (1 << j))
+            w = row[j] + best(rest ^ (1 << j))
             if best_w is None or w < best_w:
                 best_w = w
         memo[mask] = best_w
@@ -115,15 +118,16 @@ def min_weight_perfect_matching(
     while mask:
         low = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << low)
+        row = rows[low]
         sub = rest
         while sub:
             j = (sub & -sub).bit_length() - 1
             sub ^= 1 << j
-            if d[vs[low]][vs[j]] + memo[rest ^ (1 << j)] == memo[mask]:
+            if row[j] + memo[rest ^ (1 << j)] == memo[mask]:
                 edges.append((vs[low], vs[j]))
                 mask = rest ^ (1 << j)
                 break
-    return Matching(tuple(edges), total)
+    return Matching(tuple(edges), Fraction(total, space.scale))
 
 
 def matching_brute_force(

@@ -2,14 +2,22 @@
 
 Spaces are validated on construction: zero diagonal, symmetry, strict
 positivity off the diagonal, and every triangle inequality, all checked
-exactly.  The module also generates the five one-parameter point
-families (tags ``a`` .. ``e``) whose truncations exercise the
-nested-matching and sign-pattern machinery elsewhere in the package.
+exactly.  Each space also carries one integer core, computed once at
+construction: ``scale``, the lcm of all denominators, and the ``int``
+matrix ``int_dist`` with ``dist[u][v] == int_dist[u][v] / scale``.
+Scaling by a positive constant keeps every sum, ``<`` and ``==``, so
+validation, the matching DP and the quadruple sweep compare integers
+and divide by ``scale`` only when they report a distance.  The module
+also generates the five one-parameter point families (tags ``a`` ..
+``e``) whose truncations exercise the nested-matching and sign-pattern
+machinery elsewhere in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,11 +52,17 @@ class FiniteMetricSpace:
     """n points with a symmetric, fully validated rational distance matrix.
 
     Entries are converted to ``Fraction`` on construction; ``float`` and
-    ``bool`` entries are refused.
+    ``bool`` entries are refused.  ``scale`` and ``int_dist`` are the
+    integer core, ``dist[u][v] == int_dist[u][v] / scale``; they are
+    derived from ``dist``, so equality, hashing and ``repr`` ignore them.
     """
 
     dist: tuple[tuple[Fraction, ...], ...]
     labels: tuple[str, ...] | None = None
+    scale: int = field(init=False, repr=False, compare=False)
+    int_dist: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         d = tuple(tuple(exact_rational(x) for x in row) for row in self.dist)
@@ -59,18 +73,31 @@ class FiniteMetricSpace:
                 raise ValueError("distance matrix must be square")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must match the point count")
+        scale = math.lcm(*{q.denominator for row in d for q in row})
+        m = tuple(
+            tuple(q.numerator * (scale // q.denominator) for q in row) for row in d
+        )
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "int_dist", m)
         for u in range(n):
-            if d[u][u] != 0:
+            if m[u][u] != 0:
                 raise NotAMetricError("zero diagonal", (u,), f"d={d[u][u]}")
         for u in range(n):
+            mu = m[u]
             for v in range(u + 1, n):
-                if d[u][v] != d[v][u]:
+                if mu[v] != m[v][u]:
                     raise NotAMetricError("symmetry", (u, v))
-                if d[u][v] <= 0:
+                if mu[v] <= 0:
                     raise NotAMetricError("positivity", (u, v), f"d={d[u][v]}")
+        # With symmetry, row u plus row w holds d(u,v) + d(v,w) at every v;
+        # at v = u and v = w it equals d(u,w), so only a violation is below.
+        # Only then are the v scanned in order to name the first witness.
+        add = operator.add
         for u in range(n):
-            du = d[u]
+            mu, du = m[u], d[u]
             for w in range(u + 1, n):
+                if min(map(add, mu, m[w])) >= mu[w]:
+                    continue
                 duw = du[w]
                 for v in range(n):
                     if v != u and v != w and duw > du[v] + d[v][w]:
@@ -112,7 +139,7 @@ def parse_metric(text: str) -> FiniteMetricSpace:
     if not tokens:
         raise ParseError("empty metric description")
     head = tokens[0]
-    if not head.isdigit() or int(head) < 1:
+    if not head.isdecimal() or int(head) < 1:
         raise ParseError(f"point count must be a positive integer, got {head!r}")
     n = int(head)
     body = tokens[1:]

@@ -160,7 +160,7 @@ def indexed_lines(
         if len(parts) != arity + 1:
             raise ParseError(f"line {lineno}: expected '{shape}'")
         *tokens, value = parts
-        if not all(t.isdigit() for t in tokens):
+        if not all(t.isdecimal() for t in tokens):
             raise ParseError(f"line {lineno}: {bad} " + " ".join(map(repr, tokens)))
         indices = tuple(map(int, tokens))
         if n is not None:

@@ -1,8 +1,9 @@
 """Shared test machinery: line spaces, alternative plans, exact rank,
 hypothesis strategies, a generator of provably minimal pair sequences,
 the ``Fraction``-tableau simplex kept as an oracle for the pivot path,
-and an exact least-squares solver kept as an oracle for the cut/cycle
-split."""
+an exact least-squares solver kept as an oracle for the cut/cycle
+split, and the ``Fraction`` axiom loop kept as an oracle for metric
+validation."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from tcspace import (
     FiniteMetricSpace,
+    NotAMetricError,
     PairSequence,
     TransportPlan,
     TransportationProblem,
@@ -399,3 +401,33 @@ def reference_least_squares(
     for rr, cc in pivots:
         x[cc] = aug[rr][-1]
     return x
+
+
+def reference_validate(d: Sequence[Sequence[Fraction]]) -> None:
+    """Raise the first ``NotAMetricError`` of the square matrix ``d``.
+
+    The oracle for ``FiniteMetricSpace`` validation: the plain
+    ``Fraction`` loops over diagonal, symmetry and positivity, then every
+    triangle, in the order and with the witnesses the package reports.
+    """
+    n = len(d)
+    for u in range(n):
+        if d[u][u] != 0:
+            raise NotAMetricError("zero diagonal", (u,), f"d={d[u][u]}")
+    for u in range(n):
+        for v in range(u + 1, n):
+            if d[u][v] != d[v][u]:
+                raise NotAMetricError("symmetry", (u, v))
+            if d[u][v] <= 0:
+                raise NotAMetricError("positivity", (u, v), f"d={d[u][v]}")
+    for u in range(n):
+        du = d[u]
+        for w in range(u + 1, n):
+            duw = du[w]
+            for v in range(n):
+                if v != u and v != w and duw > du[v] + d[v][w]:
+                    raise NotAMetricError(
+                        "triangle",
+                        (u, v, w),
+                        f"{duw} > {du[v]} + {d[v][w]}",
+                    )

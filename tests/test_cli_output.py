@@ -24,6 +24,10 @@ FILES = {
     "unbalanced.problem": "0 1\n",
     "tri.metric": "3\n1/2 3\n1/3\n",
     "zero.metric": "3\n1 0\n1\n",
+    # superscript digits pass str.isdigit but are not decimal
+    "sup.metric": "\u00b2\n",
+    "sup.problem": "\u00b9 -1\n",
+    "sup.edges": "0 \u00b9 1\n",
 }
 
 # (argv, exit code, stdout)
@@ -821,13 +825,33 @@ INPUT_ERRORS = [
         ["matching", "tri.metric", "--vertices", "0,1"],
         "error: DIR/tri.metric: triangle violated at (0, 1, 2): 3 > 1/2 + 1/3\n",
     ),
+    (
+        ["validate", "sup.metric"],
+        "error: DIR/sup.metric: point count must be a positive integer, got '\u00b2'\n",
+    ),
+    (
+        ["l1norm", "sup.problem"],
+        "error: DIR/sup.problem: line 1: bad point index '\u00b9'\n",
+    ),
+    (
+        ["quotient", "line.metric", "sup.edges"],
+        "error: DIR/sup.edges: line 1: bad edge indices '0' '\u00b9'\n",
+    ),
+    (
+        ["matching", "far.metric", "--vertices", "0,\u00b9"],
+        "error: --vertices: expected integers, got '\u00b9'\n",
+    ),
+    (
+        ["nested-check", "far.metric", "--pairs", "0:\u00b9"],
+        "error: --pairs: expected 'x:y' entries, got '0:\u00b9'\n",
+    ),
 ]
 
 
 @pytest.fixture
 def data_dir(tmp_path):
     for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     return tmp_path
 
 

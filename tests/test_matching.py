@@ -19,7 +19,7 @@ from tcspace import (
 from tcspace.matching import BRUTE_FORCE_VERTEX_LIMIT, DP_VERTEX_LIMIT
 from tcspace.metric import FiniteMetricSpace
 
-from helpers import clustered_pair_sequence, line_space, metric_spaces
+from helpers import clustered_pair_sequence, line_space, metric_spaces, over_a_prime
 
 FAR_PAIRS = line_space([0, 1, 10, 11])
 
@@ -90,6 +90,25 @@ class TestMinimumMatching:
         dp = min_weight_perfect_matching(space, vertices)
         bf = matching_brute_force(space, vertices)
         assert dp.weight == bf.weight
+        assert dp.edges == bf.edges
+
+    @given(st.data())
+    def test_coprime_ties_agree_with_enumeration(self, data):
+        # a few distinct values in [1, 2] over coprime primes: triangles hold,
+        # the common scale is a product of primes and weights tie often
+        values = data.draw(st.lists(over_a_prime(1, 2), min_size=1, max_size=3))
+        n = data.draw(st.integers(2, BRUTE_FORCE_VERTEX_LIMIT))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(st.sampled_from(values))
+        space = FiniteMetricSpace.from_matrix(rows)
+        size = data.draw(st.sampled_from(range(2, n + 1, 2)))
+        vertices = data.draw(st.permutations(range(n)).map(lambda p: p[:size]))
+        dp = min_weight_perfect_matching(space, vertices)
+        bf = matching_brute_force(space, vertices)
+        assert dp.weight == bf.weight
+        assert type(dp.weight) is F
         assert dp.edges == bf.edges
 
 

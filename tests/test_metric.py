@@ -20,7 +20,7 @@ from tcspace import (
     serialize_metric,
 )
 
-from helpers import line_space, metric_spaces
+from helpers import line_space, metric_spaces, over_a_prime, reference_validate
 
 
 class TestValidation:
@@ -83,6 +83,56 @@ class TestValidation:
         assert space.n == 1
         with pytest.raises(ValueError):
             extremes(space)
+
+    def test_integer_core(self):
+        space = FiniteMetricSpace.from_matrix([[0, F(1, 6)], [F(1, 6), 0]])
+        assert space.scale == 6
+        assert space.int_dist == ((0, 1), (1, 0))
+        assert type(space.int_dist[0][1]) is int
+        # derived fields stay out of equality, hashing and repr
+        assert space == FiniteMetricSpace(((0, "1/6"), ("1/6", 0)))
+        assert hash(space) == hash(FiniteMetricSpace(space.dist))
+        assert "int_dist" not in repr(space) and "scale" not in repr(space)
+        whole = family_metric("d", 6)
+        assert all(
+            whole.int_dist[u][v] == whole.dist[u][v] * whole.scale
+            for u in range(6)
+            for v in range(6)
+        )
+
+    @given(st.data())
+    def test_agrees_with_reference_loop(self, data):
+        n = data.draw(st.integers(3, 8))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(over_a_prime(1, 2))
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(
+                st.sampled_from(["shrink", "grow", "zero", "asymmetric", "diagonal"])
+            )
+            i, j = data.draw(cell.filter(lambda c: c[0] != c[1]))
+            if kind == "shrink":
+                rows[i][j] = rows[j][i] = data.draw(over_a_prime(0, 1).filter(bool))
+            elif kind == "grow":
+                rows[i][j] = rows[j][i] = data.draw(over_a_prime(2, 5))
+            elif kind == "zero":
+                rows[i][j] = rows[j][i] = F(0)
+            elif kind == "asymmetric":
+                rows[i][j] = data.draw(over_a_prime(-1, 2))
+            else:
+                rows[i][i] = data.draw(over_a_prime(-1, 1).filter(bool))
+
+        def outcome(check):
+            try:
+                check()
+            except NotAMetricError as exc:
+                return exc.axiom, exc.witness, str(exc)
+            return None
+
+        expected = outcome(lambda: reference_validate(rows))
+        assert outcome(lambda: FiniteMetricSpace.from_matrix(rows)) == expected
 
 
 class TestTextFormat:

@@ -43,14 +43,13 @@ def test_family_report():
     ]
 
 
-def test_benchmark_traced_certify():
-    # The tracer wraps solver and route functions by module attribute,
-    # so a rename or move that it misses shows up here as no simplex calls.
+def traced_benchmark(workload: str) -> dict:
+    """Metrics of a short traced benchmark run of ``workload`` (seed 3) that ran cleanly."""
     done = subprocess.run(
         [
             sys.executable,
             str(ROOT / "perfbench" / "run.py"),
-            *("--workload", "certify", "--seed", "3"),
+            *("--workload", workload, "--seed", "3"),
             *("--seconds", "0.5", "--trace", "1"),
         ],
         capture_output=True,
@@ -62,4 +61,19 @@ def test_benchmark_traced_certify():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
-    assert report["metrics"]["solvers.simplex_calls"]["value"] > 0
+    return report["metrics"]
+
+
+def test_benchmark_traced_certify():
+    # The tracer wraps solver and route functions by module attribute,
+    # so a rename or move that it misses shows up here as no simplex calls.
+    metrics = traced_benchmark("certify")
+    assert metrics["solvers.simplex_calls"]["value"] > 0
+
+
+def test_benchmark_traced_cli():
+    # Validation is traced through FiniteMetricSpace.__post_init__; moving
+    # it out of construction would show up here as no validate calls.
+    metrics = traced_benchmark("cli")
+    for name in ("metric.validate_calls", "matching.dp_calls", "l1embed.quadruples"):
+        assert metrics[name]["value"] > 0, name
