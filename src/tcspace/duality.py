@@ -25,6 +25,7 @@ from .solvers import LE, LinearProgram, simplex_solve
 from .transport import TransportationProblem
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # n(n - 1) Lipschitz rows over n - 1 variables
 DUAL_POINT_LIMIT = 32
@@ -88,22 +89,16 @@ def dual_optimal(
     if n == 1:
         return LipFunction((_ZERO,)), _ZERO
     var_of = {v: idx for idx, v in enumerate(p for p in range(n) if p != base)}
-    nv = n - 1
-    objective = [_ZERO] * nv
-    for v, a in f.entries:
-        if v != base:
-            objective[var_of[v]] = -a
+    supply = dict(f.entries)
+    objective = [-supply.get(v, _ZERO) for v in var_of]
     constraints = []
     for u in range(n):
         for w in range(u + 1, n):
-            row = [_ZERO] * nv
-            if u != base:
-                row[var_of[u]] += Fraction(1)
-            if w != base:
-                row[var_of[w]] -= Fraction(1)
+            # h(u) - h(w) over the non-base variables
+            row = {var_of[v]: s for v, s in ((u, _ONE), (w, -_ONE)) if v != base}
             d = space.dist[u][w]
             constraints.append((row, LE, d))
-            constraints.append(([-a for a in row], LE, d))
+            constraints.append(({j: -s for j, s in row.items()}, LE, d))
     value, x = simplex_solve(LinearProgram(objective, constraints))
     values = [_ZERO] * n
     for v, idx in var_of.items():

@@ -55,6 +55,8 @@ class Matching:
     def __post_init__(self):
         seen: set[int] = set()
         for u, v in self.edges:
+            check_index(u, None, "matching endpoint")
+            check_index(v, None, "matching endpoint")
             if u >= v:
                 raise ValueError(f"edge ({u}, {v}) must be ordered u < v")
             if u in seen or v in seen:

@@ -28,6 +28,7 @@ from .solvers import GE, LinearProgram, simplex_solve
 from .transport import TransportPlan, TransportationProblem
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 Edge = tuple[int, int]
 
@@ -119,8 +120,8 @@ def _reorient(f: EdgeVector, orientation: Orientation | None) -> EdgeVector:
         return f
     for e, s in orientation.items():
         f.check_key(e)
-        if s not in (1, -1):
-            raise ValueError("orientation signs must be +1 or -1")
+        if type(s) is not int or s not in (1, -1):
+            raise ValueError(f"orientation signs must be int +1 or -1, got {s!r}")
     return EdgeVector(
         f.n, tuple((e, v * orientation.get(e, 1)) for e, v in f.entries)
     )
@@ -158,21 +159,23 @@ def quotient_norm(
     edges = all_edges(n)
     ne = len(edges)
     nc = len(basis)
-    nvars = ne + nc
-    chi_values = [dict(chi.entries) for chi in basis]
+    # cycles_on[idx]: (column, coefficient) of every basis cycle through
+    # edge idx; each cycle is a triangle, so it lands in three lists
+    edge_index = {e: idx for idx, e in enumerate(edges)}
+    cycles_on: list[list[tuple[int, Fraction]]] = [[] for _ in edges]
+    for k, chi in enumerate(basis):
+        for e, ce in chi.entries:
+            cycles_on[edge_index[e]].append((ne + k, ce))
     objective = [space.dist[i][j] for i, j in edges] + [_ZERO] * nc
+    values = dict(g.entries)
     constraints = []
     for idx, e in enumerate(edges):
-        fe = g.value(*e)
-        row_minus = [_ZERO] * nvars
-        row_plus = [_ZERO] * nvars
-        row_minus[idx] = Fraction(1)
-        row_plus[idx] = Fraction(1)
-        for k, chi in enumerate(chi_values):
-            ce = chi.get(e)
-            if ce:
-                row_minus[ne + k] = -ce
-                row_plus[ne + k] = ce
+        fe = values.get(e, _ZERO)
+        row_minus = {idx: _ONE}
+        row_plus = {idx: _ONE}
+        for col, ce in cycles_on[idx]:
+            row_minus[col] = -ce
+            row_plus[col] = ce
         constraints.append((row_minus, GE, fe))
         constraints.append((row_plus, GE, -fe))
     bounds = [(Fraction(0), None)] * ne + [(None, None)] * nc

@@ -4,11 +4,16 @@ Two primitives, both exact: a two-phase simplex solver using Bland's
 anti-cycling rule, and a successive-shortest-path minimum-cost flow
 solver with node potentials.  Inputs and results are
 ``fractions.Fraction``, but neither kernel computes in ``Fraction``
-below its set-up.  The simplex scales its rows to ``int`` by the lcm
-of the denominators and eliminates with ``row*p - f*prow`` and one gcd
-division per updated row; a row stands for itself divided by its pivot
-entry, so the simplex takes exactly the pivots of a ``Fraction``
-tableau.  The flow kernel scales its amounts and its costs to integers
+below its set-up.  LP rows are sparse from end to end: a
+``LinearProgram`` stores each row as a dict of its nonzeros, and the
+simplex keeps each tableau row as a dict of nonzero ``int`` entries
+plus an index from each column to the rows that hold it, so a pivot
+touches only the rows with an entry in the entering column.  The
+simplex scales its rows to ``int`` by the lcm of the denominators and
+eliminates with ``row*p - f*prow`` and one gcd division per updated
+row; a row stands for itself divided by its pivot entry, so the
+simplex takes exactly the pivots of a dense ``Fraction`` tableau.  The
+flow kernel scales its amounts and its costs to integers
 by one common denominator each.  Each kernel divides back to
 ``Fraction`` once, at the end.  Every tie is broken by lowest index,
 so results are deterministic, and no step ever rounds.
@@ -19,9 +24,9 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .rationals import exact_rational
+from .rationals import check_index, exact_rational
 
 LE = "<="
 EQ = "=="
@@ -45,9 +50,12 @@ class UnboundedError(Exception):
 class LinearProgram:
     """A minimization LP: objective, rows ``(coeffs, relation, rhs)``, bounds.
 
-    Bounds are per-variable ``(lower, upper)`` pairs with ``None`` meaning
-    unbounded on that side; omitting ``bounds`` leaves every variable free.
-    The description is not mutated after construction.
+    A row's ``coeffs`` is a mapping ``{column: value}`` or a dense
+    sequence as long as the objective; either way it is stored as a dict
+    of its nonzero entries.  Bounds are per-variable ``(lower, upper)``
+    pairs with ``None`` meaning unbounded on that side; omitting
+    ``bounds`` leaves every variable free.  The description is not
+    mutated after construction.
     """
 
     __slots__ = ("objective", "constraints", "bounds")
@@ -64,12 +72,21 @@ class LinearProgram:
         nvars = len(self.objective)
         rows = []
         for coeffs, relation, rhs in constraints:
-            coeffs = tuple(exact_rational(a) for a in coeffs)
-            if len(coeffs) != nvars:
-                raise ValueError("constraint row length differs from objective length")
+            if isinstance(coeffs, Mapping):
+                entries = [
+                    (check_index(j, nvars, "constraint column"), exact_rational(a))
+                    for j, a in coeffs.items()
+                ]
+            else:
+                entries = list(enumerate(map(exact_rational, coeffs)))
+                if len(entries) != nvars:
+                    raise ValueError(
+                        "constraint row length differs from objective length"
+                    )
             if relation not in _RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
-            rows.append((coeffs, relation, exact_rational(rhs)))
+            row = {j: a for j, a in entries if a}
+            rows.append((row, relation, exact_rational(rhs)))
         self.constraints: tuple = tuple(rows)
         if bounds is None:
             bounds = [(None, None)] * nvars
@@ -84,25 +101,44 @@ class LinearProgram:
         )
 
 
-def _integer_row(entries: dict[int, Fraction], length: int) -> list[int]:
-    """The row with ``entries`` (column -> value) and zeros elsewhere,
-    times the lcm of the denominators, in lowest terms."""
+# A tableau row is a dict of its nonzero ``int`` entries with the
+# right-hand side under the key ``_RHS``; the cost row is a dense list
+# whose last entry is the right-hand side, so ``cost[_RHS]`` reads it too.
+_RHS = -1
+IntRow = Union[dict[int, int], list[int]]
+
+
+def _integer_row(entries: dict[int, Fraction], length: int | None = None) -> IntRow:
+    """The nonzero ``entries`` (column -> value) times the lcm of their
+    denominators, in lowest terms: a dict, or a dense list of ``length``
+    entries when ``length`` is given (the cost row)."""
     scale = math.lcm(*(v.denominator for v in entries.values()))
-    row = [0] * length
-    for j, v in entries.items():
-        row[j] = v.numerator * (scale // v.denominator)
+    row = {j: v.numerator * (scale // v.denominator) for j, v in entries.items() if v}
+    if length is not None:
+        dense = [0] * length
+        for j, a in row.items():
+            dense[j] = a
+        row = dense
     return _lowest_terms(row)
 
 
-def _lowest_terms(row: list[int]) -> list[int]:
-    """``row`` divided by the (positive) gcd of its entries."""
+def _lowest_terms(row: IntRow) -> IntRow:
+    """``row`` (a dict or a list) divided by the positive gcd of its entries."""
+    if isinstance(row, dict):
+        g = math.gcd(*row.values())
+        return {j: a // g for j, a in row.items()} if g > 1 else row
     g = math.gcd(*row)
     return [a // g for a in row] if g > 1 else row
 
 
 def _eliminate(
-    row: list[int], f: int, p: int, pivot_terms: list[tuple[int, int]]
-) -> list[int]:
+    row: IntRow,
+    f: int,
+    p: int,
+    pivot_terms: list[tuple[int, int]],
+    index: list[set[int]] | None = None,
+    i: int = -1,
+) -> IntRow:
     """``row*p - f*prow`` in lowest terms: clears the pivot column of ``row``.
 
     ``pivot_terms`` lists the nonzero ``(column, prow[column])`` of the
@@ -111,25 +147,37 @@ def _eliminate(
     ``row - (f/p)*prow``, so every sign the caller reads is kept.  ``f``
     and ``p`` are first divided by their gcd, which changes the result
     only by a factor that the final division removes anyway.
+
+    ``row`` is the dense cost row, or tableau row ``i``: a dict of its
+    nonzeros, which stays one.  An entry of a tableau row that fills in
+    adds ``i`` to its column's set in ``index``, and one that cancels is
+    dropped and removes ``i`` from that set.  When ``p`` reduces to 1,
+    ``row`` itself is updated, so the caller keeps only the result.
     """
     g = math.gcd(f, p)
     if g > 1:
         f //= g
         p //= g
-    new = row[:] if p == 1 else [a * p for a in row]
-    for j, t in pivot_terms:
-        new[j] -= f * t
+    if isinstance(row, dict):
+        new = row if p == 1 else {j: a * p for j, a in row.items()}
+        get = new.get
+        for j, t in pivot_terms:
+            a = get(j)
+            if a is None:
+                new[j] = -f * t
+                index[j].add(i)
+            else:
+                a -= f * t
+                if a:
+                    new[j] = a
+                else:
+                    del new[j]
+                    index[j].discard(i)
+    else:
+        new = row if p == 1 else [a * p for a in row]
+        for j, t in pivot_terms:
+            new[j] -= f * t
     return _lowest_terms(new)
-
-
-def _pivot_row(
-    prow: list[int], c: int
-) -> tuple[list[int], int, list[tuple[int, int]]]:
-    """``prow`` negated if need be so that its pivot ``prow[c]`` is
-    positive, with that pivot and its nonzero terms, for ``_eliminate``."""
-    if prow[c] < 0:
-        prow = [-v for v in prow]
-    return prow, prow[c], [(j, t) for j, t in enumerate(prow) if t]
 
 
 def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
@@ -139,16 +187,21 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     leaving variables follow Bland's rule (lowest eligible index), which
     rules out cycling and makes the run deterministic.
 
-    The tableau is held as rows of ``int``.  Each standard-form row is
+    The tableau is held as sparse rows of ``int``: each row is a dict of
+    its nonzero entries, and an index from each column to the rows that
+    hold it is kept up to date as entries fill in and cancel.  A pivot
+    visits only the rows in the entering column's set, and the ratio
+    test only those with a positive entry there.  The cost row stays a
+    dense list for the scan of Bland's rule.  Each standard-form row is
     scaled by the lcm of its denominators, and a row stands for itself
     divided by its entry in its basic column, which is kept positive.
     A pivot replaces every other row by ``row*p - f*prow`` divided by
     the gcd of its entries, the ratio test compares ``rhs / entry`` by
     cross-multiplication, and the cost row is scaled by positive factors
     only.  Every decision therefore reads the same canonical tableau as
-    a ``Fraction`` tableau would, so the pivots, ``x`` and the value are
-    the ones that tableau gives; the basic values are divided out once,
-    at the end.
+    a dense ``Fraction`` tableau would, so the pivots, ``x`` and the
+    value are the ones that tableau gives; the basic values are divided
+    out once, at the end.
 
     Raises ``InfeasibleError`` / ``UnboundedError`` accordingly.
     """
@@ -173,12 +226,15 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             ncols += 2
 
     # Standard-form rows are sparse: column -> nonzero coefficient.
-    def expand(coeffs: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction]:
+    def expand(
+        terms: Iterable[tuple[int, Fraction]]
+    ) -> tuple[dict[int, Fraction], Fraction]:
         row: dict[int, Fraction] = {}
         shift = _ZERO
-        for a, recipe in zip(coeffs, recipes):
+        for v, a in terms:
             if not a:
                 continue
+            recipe = recipes[v]
             kind = recipe[0]
             if kind == "lo":
                 row[recipe[1]] = a
@@ -193,7 +249,7 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 
     rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
     for coeffs, relation, rhs in lp.constraints:
-        row, shift = expand(coeffs)
+        row, shift = expand(coeffs.items())
         b = rhs - shift
         if b < 0:
             row = {j: -a for j, a in row.items()}
@@ -218,11 +274,10 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     n_art = len(art_of)
     width = ncols + n_slack + n_art
 
-    # Column ``width`` is the right-hand side.
-    tableau: list[list[int]] = []
+    tableau: list[dict[int, int]] = []
     basis: list[int] = []
     for i, (row, relation, b) in enumerate(rows):
-        row[width] = b
+        row[_RHS] = b
         if relation == LE:
             row[slack_of[i]] = _ONE
             basis.append(slack_of[i])
@@ -233,24 +288,38 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         else:
             row[art_of[i]] = _ONE
             basis.append(art_of[i])
-        tableau.append(_integer_row(row, width + 1))
+        tableau.append(_integer_row(row))
+
+    # rows_of[j]: the rows with a nonzero in column j; the right-hand
+    # side's set is the last one, so rows_of[_RHS] finds it.
+    def column_index() -> list[set[int]]:
+        index: list[set[int]] = [set() for _ in range(width + 1)]
+        for i, row in enumerate(tableau):
+            for j in row:
+                index[j].add(i)
+        return index
+
+    rows_of = column_index()
 
     def reduce_cost_row(raw: dict[int, Fraction]) -> list[int]:
         cost = _integer_row(raw, width + 1)
         for i, bj in enumerate(basis):
             f = cost[bj]
             if f:
-                _, p, terms = _pivot_row(tableau[i], bj)
-                cost = _eliminate(cost, f, p, terms)
+                # a basic entry is positive, so the row is its own pivot row
+                row = tableau[i]
+                cost = _eliminate(cost, f, row[bj], list(row.items()))
         return cost
 
     def pivot(r: int, jc: int) -> tuple[int, list[tuple[int, int]]]:
-        tableau[r], p, terms = _pivot_row(tableau[r], jc)
-        for i, row in enumerate(tableau):
-            if i != r:
-                f = row[jc]
-                if f:
-                    tableau[i] = _eliminate(row, f, p, terms)
+        prow = tableau[r]
+        if prow[jc] < 0:
+            prow = tableau[r] = {j: -a for j, a in prow.items()}
+        p = prow[jc]
+        terms = list(prow.items())
+        for i in rows_of[jc] - {r}:
+            row = tableau[i]
+            tableau[i] = _eliminate(row, row[jc], p, terms, rows_of, i)
         basis[r] = jc
         return p, terms
 
@@ -263,20 +332,24 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                     break
             if enter < 0:
                 return cost
-            # ratios row[-1] / row[enter], compared by cross-multiplication
+            # ratios row[_RHS] / row[enter], compared by cross-multiplication;
+            # the basic columns are distinct, so the visiting order of the
+            # rows does not change the choice
             best_row = -1
             best_num = best_den = 0
-            for i, row in enumerate(tableau):
+            for i in rows_of[enter]:
+                row = tableau[i]
                 a = row[enter]
                 if a > 0:
-                    lhs = row[-1] * best_den
+                    num = row.get(_RHS, 0)
+                    lhs = num * best_den
                     rhs = best_num * a
                     if (
                         best_row < 0
                         or lhs < rhs
                         or (lhs == rhs and basis[i] < basis[best_row])
                     ):
-                        best_num, best_den = row[-1], a
+                        best_num, best_den = num, a
                         best_row = i
             if best_row < 0:
                 raise UnboundedError("objective unbounded below")
@@ -286,14 +359,15 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     if n_art:
         cost = reduce_cost_row({col: _ONE for col in art_of.values()})
         cost = run(cost, width)
-        if cost[-1] != 0:
+        if cost[_RHS] != 0:
             raise InfeasibleError("no feasible point")
         art_cols = set(art_of.values())
         structural = ncols + n_slack
         redundant: list[int] = []
         for i in range(m):
             if basis[i] in art_cols:
-                jc = next((j for j in range(structural) if tableau[i][j]), None)
+                row = tableau[i]
+                jc = min((j for j in row if 0 <= j < structural), default=None)
                 if jc is None:
                     redundant.append(i)
                 else:
@@ -301,17 +375,21 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         for i in reversed(redundant):
             del tableau[i]
             del basis[i]
-        tableau = [row[:structural] + row[-1:] for row in tableau]
+        # the right-hand side's key is negative, so it is kept
+        tableau = [
+            {j: a for j, a in row.items() if j < structural} for row in tableau
+        ]
         width = structural
+        rows_of = column_index()
 
-    std_cost, _ = expand(lp.objective)
+    std_cost, _ = expand(enumerate(lp.objective))
     cost = reduce_cost_row(std_cost)
     run(cost, width)
 
     y = [_ZERO] * width
     for i, bj in enumerate(basis):
         row = tableau[i]
-        y[bj] = Fraction(row[-1], row[bj])
+        y[bj] = Fraction(row.get(_RHS, 0), row[bj])
     x: list[Fraction] = []
     for recipe in recipes:
         kind = recipe[0]

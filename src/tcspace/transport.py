@@ -155,15 +155,9 @@ def tc_brute_force(space: FiniteMetricSpace, f: TransportationProblem) -> Fracti
     ]
     constraints = []
     for i, (_, a) in enumerate(pos):
-        row = [_ZERO] * nvars
-        for j in range(nn_):
-            row[i * nn_ + j] = Fraction(1)
-        constraints.append((row, EQ, a))
+        constraints.append(({i * nn_ + j: 1 for j in range(nn_)}, EQ, a))
     for j, (_, b) in enumerate(neg):
-        row = [_ZERO] * nvars
-        for i in range(np_):
-            row[i * nn_ + j] = Fraction(1)
-        constraints.append((row, EQ, b))
+        constraints.append(({i * nn_ + j: 1 for i in range(np_)}, EQ, b))
     bounds = [(Fraction(0), None)] * nvars
     value, _ = simplex_solve(LinearProgram(objective, constraints, bounds))
     return value

@@ -142,6 +142,12 @@ def spaces_with_problems(draw, min_n: int = 3, max_n: int = 6, max_support=None)
     return space, f
 
 
+def dense_row(coeffs, nvars: int) -> list[Fraction]:
+    """A stored ``LinearProgram`` row (column -> nonzero value) as a
+    dense list of ``nvars`` entries."""
+    return [coeffs.get(j, ZERO) for j in range(nvars)]
+
+
 def reference_simplex(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of ``lp`` together with one optimal assignment.
 
@@ -198,7 +204,7 @@ def reference_simplex(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 
     rows: list[tuple[list[Fraction], str, Fraction]] = []
     for coeffs, relation, rhs in lp.constraints:
-        row, shift = expand(coeffs)
+        row, shift = expand(dense_row(coeffs, nvars))
         b = rhs - shift
         if b < 0:
             row = [-a for a in row]

@@ -65,6 +65,14 @@ def test_exact_values_are_accepted(entry):
     entry("1/10")
 
 
+def test_orientation_signs_must_be_plain_ints():
+    f = EdgeVector.from_values(3, {(0, 1): 1})
+    for bad in (True, 1.0, F(1), 2):
+        with pytest.raises(ValueError, match="orientation signs"):
+            quotient_norm(LINE, f, orientation={(0, 1): bad})
+    assert quotient_norm(LINE, f, orientation={(0, 1): -1})[0] == 1
+
+
 class TestIndices:
     def test_pair_sequence_refuses_non_int_endpoints(self):
         with pytest.raises(ValueError, match="pair endpoint"):
@@ -79,6 +87,11 @@ class TestIndices:
             min_weight_perfect_matching(FAR_PAIRS, [0.5, 1.9])
         with pytest.raises(ValueError, match="vertex"):
             min_weight_perfect_matching(FAR_PAIRS, [False, 1])
+
+    def test_matching_refuses_non_int_endpoints(self):
+        for edge in ((False, True), (-1, 2), (0.5, 2), (0, F(2))):
+            with pytest.raises(ValueError, match="matching endpoint"):
+                Matching((edge,), 1)
 
     def test_induced_subspace_refuses_non_int_indices(self):
         with pytest.raises(ValueError, match="point index"):

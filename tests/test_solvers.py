@@ -24,7 +24,12 @@ from tcspace.rationals import data_lines
 from tcspace.sampling import random_metric_space, random_zero_sum_problem
 from tcspace.solvers import EQ, GE, LE
 
-from helpers import over_a_prime, reference_least_squares, reference_simplex
+from helpers import (
+    dense_row,
+    over_a_prime,
+    reference_least_squares,
+    reference_simplex,
+)
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -135,6 +140,14 @@ class TestSimplexFrozen:
         with pytest.raises(ValueError):
             LinearProgram([F(1)], [([F(1)], "<", F(0))], [(F(0), None)])
 
+    def test_mapping_row_validation(self):
+        for key, error in ((True, ValueError), (-1, IndexError), (2, IndexError)):
+            with pytest.raises(error, match="constraint column"):
+                LinearProgram([F(1), F(1)], [({key: F(1)}, LE, F(0))])
+        for value in (0.5, True):
+            with pytest.raises(ValueError, match=type(value).__name__):
+                LinearProgram([F(1), F(1)], [({0: value}, LE, F(0))])
+
 
 def _solve_square(rows, rhs):
     """Gaussian elimination; None when the system is singular."""
@@ -176,18 +189,17 @@ class TestSimplexAgainstVertexEnumeration:
     def test_optimum_matches_best_vertex(self, lp):
         nvars = len(lp.objective)
         value, x = simplex_solve(lp)
+        rows = [(dense_row(row, nvars), rhs) for row, _, rhs in lp.constraints]
 
         # returned point must be feasible and price out to the value
-        for row, _, rhs in lp.constraints:
+        for row, rhs in rows:
             assert sum(a * b for a, b in zip(row, x)) <= rhs
         for xi, (lo, hi) in zip(x, lp.bounds):
             assert lo <= xi <= hi
         assert sum(a * b for a, b in zip(lp.objective, x)) == value
 
         # enumerate all basic points: nvars active constraints at a time
-        equations = []
-        for row, _, rhs in lp.constraints:
-            equations.append((list(row), rhs))
+        equations = list(rows)
         for i in range(nvars):
             unit = [F(0)] * nvars
             unit[i] = F(1)
@@ -199,8 +211,7 @@ class TestSimplexAgainstVertexEnumeration:
             if point is None:
                 continue
             ok = all(
-                sum(a * b for a, b in zip(row, point)) <= rhs
-                for row, _, rhs in lp.constraints
+                sum(a * b for a, b in zip(row, point)) <= rhs for row, rhs in rows
             ) and all(
                 lo <= pi <= hi for pi, (lo, hi) in zip(point, lp.bounds)
             )
@@ -363,6 +374,53 @@ class TestSimplexAgainstReference:
             simplex_solve(lp)
 
 
+def solved(solve, lp):
+    """``solve(lp)``, or the type of the exception it raised."""
+    try:
+        return solve(lp)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc)
+
+
+class TestSparseRows:
+    """A row given densely or as a mapping is one row to the simplex."""
+
+    @pytest.mark.parametrize(
+        "lps",
+        [
+            mixed_lps(),
+            mixed_lps(coeff=over_a_prime(-3, 3)),
+            degenerate_lps(),
+            redundant_equality_lps(),
+        ],
+        ids=["mixed", "coprime", "degenerate", "redundant"],
+    )
+    @given(data=st.data())
+    def test_dense_and_mapping_rows_agree(self, lps, data):
+        lp = data.draw(lps)
+        nvars = len(lp.objective)
+        zeros = data.draw(st.sets(st.integers(0, nvars - 1)))
+        dense = LinearProgram(
+            lp.objective,
+            [(dense_row(row, nvars), rel, rhs) for row, rel, rhs in lp.constraints],
+            lp.bounds,
+        )
+        # keys in reverse column order, with explicit zeros
+        keys = range(nvars - 1, -1, -1)
+        mapping = LinearProgram(
+            lp.objective,
+            [
+                ({j: row.get(j, 0) for j in keys if j in row or j in zeros}, rel, rhs)
+                for row, rel, rhs in lp.constraints
+            ],
+            lp.bounds,
+        )
+        assert dense.constraints == mapping.constraints == lp.constraints
+        expected = solved(reference_simplex, lp)
+        assert solved(simplex_solve, dense) == expected
+        assert solved(simplex_solve, mapping) == expected
+
+
 def seeded_instance(seed: int, n: int):
     rng = random.Random(seed)
     space = random_metric_space(rng, n)
@@ -388,14 +446,18 @@ class TestCertificatesAgainstReference:
 
 
 def bit_recording(monkeypatch):
-    """Wrap the integer-row helpers; the returned list collects the
-    largest entry bit length of every row they hand back."""
-    bits = []
+    """Wrap the integer-row helpers; the returned dict maps each helper's
+    name to the ``(tableau row?, largest entry bit length)`` of every row
+    it hands back.  Tableau rows are dicts of their nonzeros, the cost
+    row is a dense list."""
+    bits = {"_eliminate": [], "_integer_row": []}
 
     def record(helper):
         def wrapped(*args):
             row = helper(*args)
-            bits.append(max(max(row), -min(row)).bit_length())
+            values = row.values() if isinstance(row, dict) else row
+            largest = max(map(abs, values), default=0)
+            bits[helper.__name__].append((isinstance(row, dict), largest.bit_length()))
             return row
 
         return wrapped
@@ -405,17 +467,24 @@ def bit_recording(monkeypatch):
     return bits
 
 
+def assert_small_bits(bits):
+    """Both helpers handed back tableau rows, and no entry needs over 64 bits."""
+    for name, rows in bits.items():
+        assert any(tableau for tableau, _ in rows), f"{name} saw no tableau row"
+        assert max(b for _, b in rows) <= 64
+        rows.clear()
+
+
 class TestCoefficientGrowth:
     def test_bits_stay_small_on_the_largest_lps(self, monkeypatch):
         bits = bit_recording(monkeypatch)
         space, f = seeded_instance(16, quotient.QUOTIENT_POINT_LIMIT)
         lifted = quotient.lift_plan(transport.tc_norm(space, f)[1], space.n)
         quotient.quotient_norm(space, lifted)
-        assert bits and max(bits) <= 64
-        bits.clear()
+        assert_small_bits(bits)
         space, f = seeded_instance(32, duality.DUAL_POINT_LIMIT)
         duality.dual_optimal(space, f)
-        assert bits and max(bits) <= 64
+        assert_small_bits(bits)
 
 
 class TestMinCostFlow:
