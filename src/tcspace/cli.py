@@ -25,7 +25,6 @@ from .matching import (
 )
 from .metric import (
     FAMILY_TAGS,
-    FiniteMetricSpace,
     NotAMetricError,
     extremes,
     family_metric,
@@ -54,14 +53,10 @@ _SELFTEST_NORM_INSTANCES = 24
 _SELFTEST_MATCHING_INSTANCES = 12
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load(parse, path: str, *args):
     """``parse`` the file at ``path``; data errors are prefixed with the path."""
     try:
-        return parse(_read(path), *args)
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
     except (ParseError, NotAMetricError, NotZeroSumError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -86,12 +81,6 @@ def _pair(chunk: str) -> tuple[int, int]:
     if not sep or not left.strip().isdecimal() or not right.strip().isdecimal():
         raise ValueError(f"expected 'x:y' entries, got {chunk!r}")
     return int(left), int(right)
-
-
-def _edge_label(space: FiniteMetricSpace, u: int, v: int) -> str:
-    if space.labels is None:
-        return f"edge {u} {v}"
-    return f"edge {u} {v} ({space.labels[u]},{space.labels[v]})"
 
 
 def _cmd_validate(args) -> tuple[int, list[str], dict]:
@@ -132,7 +121,7 @@ def _cmd_matching(args) -> tuple[int, list[str], dict]:
     result = min_weight_perfect_matching(space, vertices)
     lines = [f"weight {format_rational(result.weight)}"]
     for u, v in result.edges:
-        lines.append(_edge_label(space, u, v))
+        lines.append(f"edge {u} {v}")
     payload = {
         "weight": format_rational(result.weight),
         "edges": [[u, v] for u, v in result.edges],
@@ -154,7 +143,7 @@ def _cmd_nested_check(args) -> tuple[int, list[str], dict]:
         f"witness weight {format_rational(result.witness.weight)}",
     ]
     for u, v in result.witness.edges:
-        lines.append(_edge_label(space, u, v))
+        lines.append(f"edge {u} {v}")
     payload = {
         "result": "FAIL",
         "depth": result.depth,

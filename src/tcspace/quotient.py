@@ -36,6 +36,11 @@ Edge = tuple[int, int]
 QUOTIENT_POINT_LIMIT = 16
 
 
+def _check_point_count(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"ambient point count must be an int >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class EdgeVector(SparseVector):
     """Exact rational values on the edges of the complete graph on ``n`` points.
@@ -49,8 +54,7 @@ class EdgeVector(SparseVector):
     entries: tuple[tuple[Edge, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ambient point count must be >= 1")
+        _check_point_count(self.n)
         super().__post_init__()
 
     def check_key(self, edge: Edge) -> None:
@@ -75,8 +79,7 @@ def cycle_basis(n: int) -> tuple[EdgeVector, ...]:
     +1 on (i, j) and -1 on (0, j).  Together these (n-1)(n-2)/2 vectors
     are a basis of the kernel of the boundary map.
     """
-    if n < 1:
-        raise ValueError("ambient point count must be >= 1")
+    _check_point_count(n)
     return tuple(
         EdgeVector.from_values(n, {(0, i): 1, (i, j): 1, (0, j): -1})
         for i, j in all_edges(n)
@@ -180,11 +183,13 @@ def quotient_norm(
         constraints.append((row_plus, GE, -fe))
     bounds = [(Fraction(0), None)] * ne + [(None, None)] * nc
     value, x = simplex_solve(LinearProgram(objective, constraints, bounds))
-    representative = g
-    for k, chi in enumerate(basis):
-        if x[ne + k]:
-            representative = representative + chi.scaled(x[ne + k])
-    return value, representative
+    cycle_terms = tuple(
+        (e, x[ne + k] * c)
+        for k, chi in enumerate(basis)
+        if x[ne + k]
+        for e, c in chi.entries
+    )
+    return value, EdgeVector(n, g.entries + cycle_terms)
 
 
 def cut_decomposition(f: EdgeVector) -> tuple[EdgeVector, EdgeVector]:

@@ -130,8 +130,8 @@ class SparseVector:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render lowest-terms ``p/q``, or plain ``p`` when the value is integral."""
-    return str(Fraction(value))
+    """Lowest-terms ``p/q``, or plain ``p`` when integral; no float or bool."""
+    return str(exact_rational(value))
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -6,14 +6,14 @@ solver with node potentials.  Inputs and results are
 ``fractions.Fraction``, but neither kernel computes in ``Fraction``
 below its set-up.  LP rows are sparse from end to end: a
 ``LinearProgram`` stores each row as a dict of its nonzeros, and the
-simplex keeps each tableau row as a dict of nonzero ``int`` entries
-plus an index from each column to the rows that hold it, so a pivot
-touches only the rows with an entry in the entering column.  The
-simplex scales its rows to ``int`` by the lcm of the denominators and
-eliminates with ``row*p - f*prow`` and one gcd division per updated
-row; a row stands for itself divided by its pivot entry, so the
-simplex takes exactly the pivots of a dense ``Fraction`` tableau.  The
-flow kernel scales its amounts and its costs to integers
+simplex keeps each tableau row, the cost row among them, as a dict of
+nonzero ``int`` entries plus an index from each column to the rows
+that hold it, so a pivot touches only the rows with an entry in the
+entering column.  The simplex scales its rows to ``int`` by the lcm of
+the denominators and eliminates with ``row*p - f*prow`` and one gcd
+division per updated row; a row stands for itself divided by its pivot
+entry, so the simplex takes exactly the pivots of a dense ``Fraction``
+tableau.  The flow kernel scales its amounts and its costs to integers
 by one common denominator each.  Each kernel divides back to
 ``Fraction`` once, at the end.  Every tie is broken by lowest index,
 so results are deterministic, and no step ever rounds.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .rationals import check_index, exact_rational
 
@@ -102,43 +102,33 @@ class LinearProgram:
 
 
 # A tableau row is a dict of its nonzero ``int`` entries with the
-# right-hand side under the key ``_RHS``; the cost row is a dense list
-# whose last entry is the right-hand side, so ``cost[_RHS]`` reads it too.
+# right-hand side under the key ``_RHS``; the cost row is the last one.
 _RHS = -1
-IntRow = Union[dict[int, int], list[int]]
 
 
-def _integer_row(entries: dict[int, Fraction], length: int | None = None) -> IntRow:
+def _integer_row(entries: dict[int, Fraction]) -> dict[int, int]:
     """The nonzero ``entries`` (column -> value) times the lcm of their
-    denominators, in lowest terms: a dict, or a dense list of ``length``
-    entries when ``length`` is given (the cost row)."""
+    denominators, in lowest terms."""
     scale = math.lcm(*(v.denominator for v in entries.values()))
-    row = {j: v.numerator * (scale // v.denominator) for j, v in entries.items() if v}
-    if length is not None:
-        dense = [0] * length
-        for j, a in row.items():
-            dense[j] = a
-        row = dense
-    return _lowest_terms(row)
+    return _lowest_terms(
+        {j: v.numerator * (scale // v.denominator) for j, v in entries.items() if v}
+    )
 
 
-def _lowest_terms(row: IntRow) -> IntRow:
-    """``row`` (a dict or a list) divided by the positive gcd of its entries."""
-    if isinstance(row, dict):
-        g = math.gcd(*row.values())
-        return {j: a // g for j, a in row.items()} if g > 1 else row
-    g = math.gcd(*row)
-    return [a // g for a in row] if g > 1 else row
+def _lowest_terms(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the positive gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {j: a // g for j, a in row.items()} if g > 1 else row
 
 
 def _eliminate(
-    row: IntRow,
+    row: dict[int, int],
     f: int,
     p: int,
     pivot_terms: list[tuple[int, int]],
-    index: list[set[int]] | None = None,
-    i: int = -1,
-) -> IntRow:
+    index: list[set[int]],
+    i: int,
+) -> dict[int, int]:
     """``row*p - f*prow`` in lowest terms: clears the pivot column of ``row``.
 
     ``pivot_terms`` lists the nonzero ``(column, prow[column])`` of the
@@ -148,35 +138,30 @@ def _eliminate(
     and ``p`` are first divided by their gcd, which changes the result
     only by a factor that the final division removes anyway.
 
-    ``row`` is the dense cost row, or tableau row ``i``: a dict of its
-    nonzeros, which stays one.  An entry of a tableau row that fills in
-    adds ``i`` to its column's set in ``index``, and one that cancels is
-    dropped and removes ``i`` from that set.  When ``p`` reduces to 1,
-    ``row`` itself is updated, so the caller keeps only the result.
+    ``row`` is tableau row ``i``, a dict of its nonzeros.  An entry that
+    fills in adds ``i`` to its column's set in ``index``, and one that
+    cancels is dropped and removes ``i`` from that set.  When ``p``
+    reduces to 1, ``row`` itself is updated, so the caller keeps only
+    the result.
     """
     g = math.gcd(f, p)
     if g > 1:
         f //= g
         p //= g
-    if isinstance(row, dict):
-        new = row if p == 1 else {j: a * p for j, a in row.items()}
-        get = new.get
-        for j, t in pivot_terms:
-            a = get(j)
-            if a is None:
-                new[j] = -f * t
-                index[j].add(i)
+    new = row if p == 1 else {j: a * p for j, a in row.items()}
+    get = new.get
+    for j, t in pivot_terms:
+        a = get(j)
+        if a is None:
+            new[j] = -f * t
+            index[j].add(i)
+        else:
+            a -= f * t
+            if a:
+                new[j] = a
             else:
-                a -= f * t
-                if a:
-                    new[j] = a
-                else:
-                    del new[j]
-                    index[j].discard(i)
-    else:
-        new = row if p == 1 else [a * p for a in row]
-        for j, t in pivot_terms:
-            new[j] -= f * t
+                del new[j]
+                index[j].discard(i)
     return _lowest_terms(new)
 
 
@@ -191,17 +176,18 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     its nonzero entries, and an index from each column to the rows that
     hold it is kept up to date as entries fill in and cancel.  A pivot
     visits only the rows in the entering column's set, and the ratio
-    test only those with a positive entry there.  The cost row stays a
-    dense list for the scan of Bland's rule.  Each standard-form row is
-    scaled by the lcm of its denominators, and a row stands for itself
-    divided by its entry in its basic column, which is kept positive.
-    A pivot replaces every other row by ``row*p - f*prow`` divided by
-    the gcd of its entries, the ratio test compares ``rhs / entry`` by
-    cross-multiplication, and the cost row is scaled by positive factors
-    only.  Every decision therefore reads the same canonical tableau as
-    a dense ``Fraction`` tableau would, so the pivots, ``x`` and the
-    value are the ones that tableau gives; the basic values are divided
-    out once, at the end.
+    test only those with a positive entry there.  The cost row is the
+    last tableau row, so a pivot updates it with the others, and Bland's
+    rule takes the lowest column among its negative entries.  Each
+    standard-form row is scaled by the lcm of its denominators, and a
+    row stands for itself divided by its entry in its basic column,
+    which is kept positive.  A pivot replaces every other row by
+    ``row*p - f*prow`` divided by the gcd of its entries, the ratio test
+    compares ``rhs / entry`` by cross-multiplication, and the cost row
+    is scaled by positive factors only.  Every decision therefore reads
+    the same canonical tableau as a dense ``Fraction`` tableau would, so
+    the pivots, ``x`` and the value are the ones that tableau gives; the
+    basic values are divided out once, at the end.
 
     Raises ``InfeasibleError`` / ``UnboundedError`` accordingly.
     """
@@ -301,17 +287,22 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 
     rows_of = column_index()
 
-    def reduce_cost_row(raw: dict[int, Fraction]) -> list[int]:
-        cost = _integer_row(raw, width + 1)
-        for i, bj in enumerate(basis):
-            f = cost[bj]
+    def add_cost_row(raw: dict[int, Fraction]) -> None:
+        i = len(tableau)
+        cost = _integer_row(raw)
+        tableau.append(cost)
+        for j in cost:
+            rows_of[j].add(i)
+        for r, bj in enumerate(basis):
+            f = cost.get(bj)
             if f:
                 # a basic entry is positive, so the row is its own pivot row
-                row = tableau[i]
-                cost = _eliminate(cost, f, row[bj], list(row.items()))
-        return cost
+                row = tableau[r]
+                cost = tableau[i] = _eliminate(
+                    cost, f, row[bj], list(row.items()), rows_of, i
+                )
 
-    def pivot(r: int, jc: int) -> tuple[int, list[tuple[int, int]]]:
+    def pivot(r: int, jc: int) -> None:
         prow = tableau[r]
         if prow[jc] < 0:
             prow = tableau[r] = {j: -a for j, a in prow.items()}
@@ -321,20 +312,21 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             row = tableau[i]
             tableau[i] = _eliminate(row, row[jc], p, terms, rows_of, i)
         basis[r] = jc
-        return p, terms
 
-    def run(cost: list[int], allowed: int) -> list[int]:
+    def run() -> None:
         while True:
-            enter = -1
-            for j in range(allowed):
-                if cost[j] < 0:
-                    enter = j
+            # the lowest column with a negative cost; the range leaves out
+            # the right-hand side's key
+            get = tableau[-1].get
+            for enter in range(width):
+                if get(enter, 0) < 0:
                     break
-            if enter < 0:
-                return cost
+            else:
+                return
             # ratios row[_RHS] / row[enter], compared by cross-multiplication;
-            # the basic columns are distinct, so the visiting order of the
-            # rows does not change the choice
+            # the cost row's entry is negative, so it is never a candidate,
+            # and the basic columns are distinct, so the visiting order of
+            # the rows does not change the choice
             best_row = -1
             best_num = best_den = 0
             for i in rows_of[enter]:
@@ -353,13 +345,12 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                         best_row = i
             if best_row < 0:
                 raise UnboundedError("objective unbounded below")
-            p, terms = pivot(best_row, enter)
-            cost = _eliminate(cost, cost[enter], p, terms)
+            pivot(best_row, enter)
 
     if n_art:
-        cost = reduce_cost_row({col: _ONE for col in art_of.values()})
-        cost = run(cost, width)
-        if cost[_RHS] != 0:
+        add_cost_row({col: _ONE for col in art_of.values()})
+        run()
+        if tableau[-1].get(_RHS, 0) != 0:
             raise InfeasibleError("no feasible point")
         art_cols = set(art_of.values())
         structural = ncols + n_slack
@@ -372,6 +363,8 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                     redundant.append(i)
                 else:
                     pivot(i, jc)
+        # the phase-1 cost row goes before the deletions shift the indices
+        tableau.pop()
         for i in reversed(redundant):
             del tableau[i]
             del basis[i]
@@ -383,8 +376,8 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         rows_of = column_index()
 
     std_cost, _ = expand(enumerate(lp.objective))
-    cost = reduce_cost_row(std_cost)
-    run(cost, width)
+    add_cost_row(std_cost)
+    run()
 
     y = [_ZERO] * width
     for i, bj in enumerate(basis):
@@ -406,9 +399,10 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 class FlowNetwork:
     """Minimum-cost flow instance: node supplies plus capacitated cost arcs.
 
-    Arcs are ``(tail, head, cost, capacity)`` with ``capacity=None`` for
-    uncapacitated arcs.  Supplies must sum to zero and costs must be
-    nonnegative; both are checked at construction.
+    Arcs are ``(tail, head, cost, capacity)`` with plain ``int``
+    endpoints and ``capacity=None`` for uncapacitated arcs.  Supplies
+    must sum to zero and costs must be nonnegative; both are checked at
+    construction.
     """
 
     __slots__ = ("supplies", "arcs")
@@ -420,7 +414,9 @@ class FlowNetwork:
         n = len(self.supplies)
         cleaned = []
         for tail, head, cost, capacity in arcs:
-            if not (0 <= tail < n and 0 <= head < n):
+            check_index(tail, None, "arc endpoint")
+            check_index(head, None, "arc endpoint")
+            if not (tail < n and head < n):
                 raise ValueError(f"arc ({tail}, {head}) out of node range")
             if tail == head:
                 raise ValueError(f"arc ({tail}, {head}) is a self-loop")

@@ -10,14 +10,17 @@ import pytest
 
 from tcspace import (
     EdgeVector,
+    FlowNetwork,
     LipFunction,
     Matching,
     PairSequence,
     ParseError,
     TransportationProblem,
     TransportPlan,
+    cycle_basis,
     dual_optimal,
     family_metric,
+    format_rational,
     induced_subspace,
     min_weight_perfect_matching,
     parse_edge_vector,
@@ -49,6 +52,7 @@ VALUE_ENTRY_POINTS = {
     ),
     "TransportationProblem.scaled": lambda x: UNIT.scaled(x),
     "EdgeVector.scaled": lambda x: EdgeVector.from_values(3, {(0, 1): 1}).scaled(x),
+    "format_rational": format_rational,
 }
 
 
@@ -114,6 +118,22 @@ class TestIndices:
             LINE.label(3)
         with pytest.raises(ValueError):
             LINE.d(True, 2)
+
+    def test_flow_network_refuses_non_int_endpoints(self):
+        for arc in ((False, True), (0.0, 1), (0, 1.0), (-1, 1)):
+            with pytest.raises(ValueError, match="arc endpoint"):
+                FlowNetwork([1, -1], [(*arc, 1, None)])
+        with pytest.raises(ValueError, match="out of node range"):
+            FlowNetwork([1, -1], [(0, 2, 1, None)])
+        assert len(FlowNetwork([1, -1], [(0, 1, 1, None)]).arcs) == 1
+
+    def test_point_counts_must_be_plain_ints(self):
+        for bad in (True, 2.5, F(3), 0, -1):
+            with pytest.raises(ValueError, match="point count must be an int >= 1"):
+                EdgeVector(bad, ())
+            with pytest.raises(ValueError, match="point count must be an int >= 1"):
+                cycle_basis(bad)
+        assert EdgeVector(1, ()).is_zero and cycle_basis(3)
 
     def test_dual_refuses_a_bool_base(self):
         with pytest.raises(ValueError, match="base point"):

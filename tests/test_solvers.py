@@ -447,30 +447,40 @@ class TestCertificatesAgainstReference:
 
 def bit_recording(monkeypatch):
     """Wrap the integer-row helpers; the returned dict maps each helper's
-    name to the ``(tableau row?, largest entry bit length)`` of every row
-    it hands back.  Tableau rows are dicts of their nonzeros, the cost
-    row is a dense list."""
+    name to the ``(row index, largest entry bit length)`` of every row
+    it hands back.  ``_eliminate`` is told the index of the row it
+    updates; ``_integer_row`` is not, so its rows record ``None``."""
     bits = {"_eliminate": [], "_integer_row": []}
 
-    def record(helper):
+    def record(helper, row_index):
         def wrapped(*args):
             row = helper(*args)
-            values = row.values() if isinstance(row, dict) else row
-            largest = max(map(abs, values), default=0)
-            bits[helper.__name__].append((isinstance(row, dict), largest.bit_length()))
+            largest = max(map(abs, row.values()), default=0)
+            bits[helper.__name__].append((row_index(args), largest.bit_length()))
             return row
 
         return wrapped
 
-    monkeypatch.setattr(solvers, "_eliminate", record(solvers._eliminate))
-    monkeypatch.setattr(solvers, "_integer_row", record(solvers._integer_row))
+    monkeypatch.setattr(
+        solvers, "_eliminate", record(solvers._eliminate, lambda args: args[5])
+    )
+    monkeypatch.setattr(
+        solvers, "_integer_row", record(solvers._integer_row, lambda args: None)
+    )
     return bits
 
 
 def assert_small_bits(bits):
-    """Both helpers handed back tableau rows, and no entry needs over 64 bits."""
-    for name, rows in bits.items():
-        assert any(tableau for tableau, _ in rows), f"{name} saw no tableau row"
+    """One solve's helpers handed back constraint rows, and no entry of
+    any row, the cost rows included, needs over 64 bits.
+
+    A solve has at most two cost rows, one per phase, so a helper that
+    handed back more than two rows (``_integer_row``) or updated more
+    than two distinct rows (``_eliminate``) saw a constraint row."""
+    assert len(bits["_integer_row"]) > 2, "_integer_row built no constraint row"
+    updated = {i for i, _ in bits["_eliminate"]}
+    assert len(updated) > 2, "_eliminate updated no constraint row"
+    for rows in bits.values():
         assert max(b for _, b in rows) <= 64
         rows.clear()
 
@@ -485,6 +495,18 @@ class TestCoefficientGrowth:
         space, f = seeded_instance(32, duality.DUAL_POINT_LIMIT)
         duality.dual_optimal(space, f)
         assert_small_bits(bits)
+
+
+class TestCostRow:
+    def test_each_phase_has_one_cost_row_last(self, monkeypatch):
+        """``2x == 2`` repeats ``x == 1``, so phase 1 ends with one row
+        redundant.  The phase-1 cost row (row 2) leaves with it, and the
+        phase-2 cost row is row 1, after the one row that is left."""
+        bits = bit_recording(monkeypatch)
+        lp = LinearProgram([1], [([1], EQ, 1), ([2], EQ, 2)], [(0, None)])
+        assert simplex_solve(lp) == (1, [1])
+        updated = [i for i, _ in bits["_eliminate"]]
+        assert updated[:2] == [2, 2] and updated[-1] == 1
 
 
 class TestMinCostFlow:
