@@ -178,6 +178,8 @@ def prescribed_prefix_weight(
     space: FiniteMetricSpace, pairs: PairSequence, upto: int
 ) -> Fraction:
     """Total weight of the first ``upto`` prescribed pairs."""
+    pairs.check_in(space)
+    check_index(upto, len(pairs) + 1, "prefix length")
     return sum((space.dist[x][y] for x, y in pairs.pairs[:upto]), _ZERO)
 
 

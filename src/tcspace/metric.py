@@ -169,6 +169,8 @@ def family_distance(tag: str, k: int, m: int) -> Fraction:
     """Distance between points v_k and v_m (1-based, k != m) of family ``tag``."""
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown family {tag!r}, expected one of {FAMILY_TAGS}")
+    check_index(k, None, "family index")
+    check_index(m, None, "family index")
     if k < 1 or m < 1 or k == m:
         raise ValueError("family indices must be distinct and >= 1")
     if k > m:

@@ -13,10 +13,13 @@ entering column.  The simplex scales its rows to ``int`` by the lcm of
 the denominators and eliminates with ``row*p - f*prow`` and one gcd
 division per updated row; a row stands for itself divided by its pivot
 entry, so the simplex takes exactly the pivots of a dense ``Fraction``
-tableau.  The flow kernel scales its amounts and its costs to integers
-by one common denominator each.  Each kernel divides back to
-``Fraction`` once, at the end.  Every tie is broken by lowest index,
-so results are deterministic, and no step ever rounds.
+tableau.  Each LP variable is one recipe, an offset plus signed
+nonnegative columns.  The flow kernel scales its amounts and its costs
+to integers by one common denominator each, and every residual
+capacity is an ``int``: an uncapacitated arc holds the total supply.
+Each kernel divides back to ``Fraction`` once, at the end.  Every tie
+is broken by lowest index, so results are deterministic, and no step
+ever rounds.
 """
 
 from __future__ import annotations
@@ -191,46 +194,35 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 
     Raises ``InfeasibleError`` / ``UnboundedError`` accordingly.
     """
-    # Rewrite each variable onto one or two nonnegative columns.
-    # recipe: ("lo", col, lo) -> x = lo + y
-    #         ("hi", col, hi) -> x = hi - y
-    #         ("split", cp, cm) -> x = y+ - y-
-    recipes: list[tuple] = []
+    # Rewrite each variable onto one or two nonnegative columns.  Its
+    # recipe (offset, ((column, sign), ...)) reads x = offset + sum of
+    # sign * y_column: x = lo + y, x = hi - y, or a free x = y+ - y-.
+    recipes: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
     ncols = 0
     box_rows: list[tuple[int, Fraction]] = []  # y_col <= width for doubly bounded
     for lo, hi in lp.bounds:
         if lo is not None:
-            recipes.append(("lo", ncols, lo))
+            recipe = (lo, ((ncols, 1),))
             if hi is not None:
                 box_rows.append((ncols, hi - lo))
-            ncols += 1
         elif hi is not None:
-            recipes.append(("hi", ncols, hi))
-            ncols += 1
+            recipe = (hi, ((ncols, -1),))
         else:
-            recipes.append(("split", ncols, ncols + 1))
-            ncols += 2
+            recipe = (_ZERO, ((ncols, 1), (ncols + 1, -1)))
+        recipes.append(recipe)
+        ncols += len(recipe[1])
 
     # Standard-form rows are sparse: column -> nonzero coefficient.
-    def expand(
-        terms: Iterable[tuple[int, Fraction]]
-    ) -> tuple[dict[int, Fraction], Fraction]:
+    def expand(terms: Iterable) -> tuple[dict[int, Fraction], Fraction]:
         row: dict[int, Fraction] = {}
         shift = _ZERO
         for v, a in terms:
-            if not a:
-                continue
-            recipe = recipes[v]
-            kind = recipe[0]
-            if kind == "lo":
-                row[recipe[1]] = a
-                shift += a * recipe[2]
-            elif kind == "hi":
-                row[recipe[1]] = -a
-                shift += a * recipe[2]
-            else:
-                row[recipe[1]] = a
-                row[recipe[2]] = -a
+            if a:
+                offset, columns = recipes[v]
+                if offset:
+                    shift += a * offset
+                for col, sign in columns:
+                    row[col] = a if sign > 0 else -a
         return row, shift
 
     rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
@@ -247,33 +239,25 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             raise InfeasibleError("contradictory variable bounds")
         rows.append(({col: _ONE}, LE, width))
 
+    # Slack columns follow the structural ones in row order, and the
+    # artificial columns are exactly those from ``structural`` on.  A
+    # ``<=`` row starts with its slack basic, any other with its artificial.
     m = len(rows)
-    slack_of: dict[int, int] = {}
-    for i, (_, relation, _) in enumerate(rows):
-        if relation != EQ:
-            slack_of[i] = ncols + len(slack_of)
-    n_slack = len(slack_of)
-    art_of: dict[int, int] = {}
-    for i, (_, relation, _) in enumerate(rows):
-        if relation != LE:
-            art_of[i] = ncols + n_slack + len(art_of)
-    n_art = len(art_of)
-    width = ncols + n_slack + n_art
-
+    structural = ncols + sum(relation != EQ for _, relation, _ in rows)
+    slack, width = ncols, structural
     tableau: list[dict[int, int]] = []
     basis: list[int] = []
-    for i, (row, relation, b) in enumerate(rows):
+    for row, relation, b in rows:
         row[_RHS] = b
+        if relation != EQ:
+            row[slack] = _ONE if relation == LE else -_ONE
+            slack += 1
         if relation == LE:
-            row[slack_of[i]] = _ONE
-            basis.append(slack_of[i])
-        elif relation == GE:
-            row[slack_of[i]] = -_ONE
-            row[art_of[i]] = _ONE
-            basis.append(art_of[i])
+            basis.append(slack - 1)
         else:
-            row[art_of[i]] = _ONE
-            basis.append(art_of[i])
+            row[width] = _ONE
+            basis.append(width)
+            width += 1
         tableau.append(_integer_row(row))
 
     # rows_of[j]: the rows with a nonzero in column j; the right-hand
@@ -347,18 +331,15 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                 raise UnboundedError("objective unbounded below")
             pivot(best_row, enter)
 
-    if n_art:
-        add_cost_row({col: _ONE for col in art_of.values()})
+    if width > structural:
+        add_cost_row({col: _ONE for col in range(structural, width)})
         run()
         if tableau[-1].get(_RHS, 0) != 0:
             raise InfeasibleError("no feasible point")
-        art_cols = set(art_of.values())
-        structural = ncols + n_slack
         redundant: list[int] = []
         for i in range(m):
-            if basis[i] in art_cols:
-                row = tableau[i]
-                jc = min((j for j in row if 0 <= j < structural), default=None)
+            if basis[i] >= structural:
+                jc = min((j for j in tableau[i] if 0 <= j < structural), default=None)
                 if jc is None:
                     redundant.append(i)
                 else:
@@ -380,18 +361,12 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     run()
 
     y = [_ZERO] * width
-    for i, bj in enumerate(basis):
-        row = tableau[i]
+    for row, bj in zip(tableau, basis):
         y[bj] = Fraction(row.get(_RHS, 0), row[bj])
-    x: list[Fraction] = []
-    for recipe in recipes:
-        kind = recipe[0]
-        if kind == "lo":
-            x.append(recipe[2] + y[recipe[1]])
-        elif kind == "hi":
-            x.append(recipe[2] - y[recipe[1]])
-        else:
-            x.append(y[recipe[1]] - y[recipe[2]])
+    x = [
+        offset + sum(y[col] if sign > 0 else -y[col] for col, sign in columns)
+        for offset, columns in recipes
+    ]
     value = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)
     return value, x
 
@@ -444,6 +419,12 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
     theirs; scaling by positive constants keeps every comparison, so
     the augmenting paths are the ones the rational loop would take.
     Flows come back as ``f / S`` and the total as ``sum f*c / (S*D)``.
+
+    Every residual capacity is an ``int``; an uncapacitated arc starts
+    with the total positive supply ``required``.  That never binds:
+    each augmentation sends its bottleneck along a simple path, so no
+    arc carries more than has been delivered, which stays below
+    ``required`` until the loop ends.
     """
     n = len(net.supplies)
     source, sink = n, n + 1
@@ -453,12 +434,16 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
     scale = math.lcm(*(a.denominator for a in amounts))
     cost_scale = math.lcm(*(arc[2].denominator for arc in net.arcs))
 
+    # supplies scaled to int; an uncapacitated arc gets the total supply
+    supplies = [s.numerator * (scale // s.denominator) for s in net.supplies]
+    required = sum(s for s in supplies if s > 0)
+
     to: list[int] = []
     rcost: list[int] = []
-    remain: list[int | None] = []
+    remain: list[int] = []
     adj: list[list[int]] = [[] for _ in range(nn)]
 
-    def add_arc(u: int, v: int, cost: int, cap: int | None) -> None:
+    def add_arc(u: int, v: int, cost: int, cap: int) -> None:
         adj[u].append(len(to))
         to.append(v)
         rcost.append(cost)
@@ -469,18 +454,11 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
         remain.append(0)
 
     for tail, head, cost, cap in net.arcs:
-        add_arc(
-            tail,
-            head,
-            cost.numerator * (cost_scale // cost.denominator),
-            None if cap is None else cap.numerator * (scale // cap.denominator),
-        )
-    required = 0
-    for v, s in enumerate(net.supplies):
-        s = s.numerator * (scale // s.denominator)
+        cap = required if cap is None else cap.numerator * (scale // cap.denominator)
+        add_arc(tail, head, cost.numerator * (cost_scale // cost.denominator), cap)
+    for v, s in enumerate(supplies):
         if s > 0:
             add_arc(source, v, 0, s)
-            required += s
         elif s < 0:
             add_arc(v, sink, 0, -s)
 
@@ -496,8 +474,7 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
             if d_u > dist[u]:
                 continue
             for k in adj[u]:
-                r = remain[k]
-                if r is not None and r == 0:
+                if not remain[k]:
                     continue
                 v = to[k]
                 nd = d_u + rcost[k] + potential[u] - potential[v]
@@ -507,22 +484,20 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
                     heapq.heappush(heap, (nd, v))
         if dist[sink] is None:
             raise InfeasibleError("supplies cannot be routed")
-        bottleneck = None
+        # the path's first arc leaves the source with at most the
+        # undelivered supply left, so that is where the minimum starts
+        bottleneck = required - delivered
         v = sink
         while v != source:
             k = parent[v]
-            r = remain[k]
-            if r is not None and (bottleneck is None or r < bottleneck):
-                bottleneck = r
+            if remain[k] < bottleneck:
+                bottleneck = remain[k]
             v = to[k ^ 1]
-        # super-source arcs are always capacitated, so a bottleneck exists
         v = sink
         while v != source:
             k = parent[v]
-            if remain[k] is not None:
-                remain[k] -= bottleneck
-            if remain[k ^ 1] is not None:
-                remain[k ^ 1] += bottleneck
+            remain[k] -= bottleneck
+            remain[k ^ 1] += bottleneck
             v = to[k ^ 1]
         for v in range(nn):
             if dist[v] is not None:

@@ -85,6 +85,9 @@ class TransportPlan:
 
     def cost_in(self, space: FiniteMetricSpace) -> Fraction:
         """Recompute the amount-weighted distance total in ``space``."""
+        for x, y, _ in self.moves:
+            check_index(x, space.n, "move endpoint")
+            check_index(y, space.n, "move endpoint")
         return sum((a * space.dist[x][y] for x, y, a in self.moves), _ZERO)
 
 

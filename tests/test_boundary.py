@@ -19,6 +19,7 @@ from tcspace import (
     TransportPlan,
     cycle_basis,
     dual_optimal,
+    family_distance,
     family_metric,
     format_rational,
     induced_subspace,
@@ -26,6 +27,7 @@ from tcspace import (
     parse_edge_vector,
     parse_lip,
     parse_problem,
+    prescribed_prefix_weight,
     quotient_norm,
     sign_pattern_isometry_check,
 )
@@ -109,6 +111,32 @@ class TestIndices:
                 TransportPlan(((bad, 2, F(1)),), F(1))
             with pytest.raises(ValueError, match="move endpoint"):
                 TransportPlan(((2, bad, F(1)),), F(1))
+
+    def test_plan_cost_checks_endpoints_against_the_space(self):
+        plan = TransportPlan(((0, 3, F(1)),), F(11))
+        assert plan.cost_in(FAR_PAIRS) == 11
+        with pytest.raises(IndexError, match="move endpoint 3 out of range"):
+            plan.cost_in(LINE)
+
+    def test_family_indices_are_plain_ints(self):
+        for k, m in ((True, 2), (2, True), (1.0, 2), (1, 2.5), (F(1), 2)):
+            with pytest.raises(ValueError, match="family index must be"):
+                family_distance("a", k, m)
+        for k, m in ((0, 2), (2, 2)):
+            with pytest.raises(ValueError, match="distinct and >= 1"):
+                family_distance("a", k, m)
+
+    def test_prefix_weight_checks_its_length_and_endpoints(self):
+        pairs = PairSequence(((0, 1), (2, 3)))
+        assert prescribed_prefix_weight(FAR_PAIRS, pairs, 0) == 0
+        assert prescribed_prefix_weight(FAR_PAIRS, pairs, 2) == 2
+        for bad in (-1, 3):
+            with pytest.raises(IndexError, match="prefix length"):
+                prescribed_prefix_weight(FAR_PAIRS, pairs, bad)
+        with pytest.raises(ValueError, match="prefix length must be"):
+            prescribed_prefix_weight(FAR_PAIRS, pairs, True)
+        with pytest.raises(IndexError, match="pair endpoint 4 out of range"):
+            prescribed_prefix_weight(FAR_PAIRS, PairSequence(((0, 4),)), 1)
 
     def test_space_accessors_check_indices(self):
         assert LINE.d(0, 2) == 3 and LINE.label(2) == "p2"

@@ -77,3 +77,11 @@ def test_benchmark_traced_cli():
     metrics = traced_benchmark("cli")
     for name in ("metric.validate_calls", "matching.dp_calls", "l1embed.quadruples"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_benchmark_traced_l1sweep():
+    # Each sign pattern's norm is a min-cost flow; a kernel change that
+    # the tracer misses shows up here as no flow calls.
+    metrics = traced_benchmark("l1sweep")
+    for name in ("solvers.flow_calls", "l1embed.patterns_per_sweep"):
+        assert metrics[name]["value"] > 0, name

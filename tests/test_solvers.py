@@ -586,6 +586,58 @@ def coprime_flow_instances(draw):
     return FlowNetwork(supplies, arcs)
 
 
+@st.composite
+def uncapacitated_flow_instances(draw):
+    """A directed ring through every node plus random chords, with zero
+    costs and ``None`` capacities among the draws; may be infeasible."""
+    n = draw(st.integers(2, 5))
+    raw = [draw(st.fractions(-4, 4, max_denominator=3)) for _ in range(n - 1)]
+    supplies = raw + [-sum(raw, F(0))]
+    ring = [(v, (v + 1) % n) for v in range(n)]
+    chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    chords = draw(st.lists(chord.filter(lambda a: a[0] != a[1]), max_size=6))
+    cost = st.sampled_from([F(0), F(1, 2), F(1), F(3)])
+    cap = st.none() | st.integers(0, 3).map(F)
+    arcs = [(u, v, draw(cost), draw(cap)) for u, v in ring + chords]
+    return FlowNetwork(supplies, arcs)
+
+
+def capped_at_total_supply(net: FlowNetwork) -> FlowNetwork:
+    """``net`` with every ``None`` capacity replaced by the total positive supply."""
+    total = sum((s for s in net.supplies if s > 0), F(0))
+    return FlowNetwork(
+        net.supplies,
+        [(u, v, c, total if cap is None else cap) for u, v, c, cap in net.arcs],
+    )
+
+
+class TestUncapacitatedArcs:
+    """An uncapacitated arc routes exactly like one capped at the total
+    positive supply: no arc carries more before every unit is delivered."""
+
+    @given(uncapacitated_flow_instances())
+    def test_same_cost_and_flows_as_total_supply_caps(self, net):
+        try:
+            expected = min_cost_flow(capped_at_total_supply(net))
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                min_cost_flow(net)
+            return
+        assert min_cost_flow(net) == expected
+
+    @pytest.mark.parametrize(
+        "supplies", [[F(3, 2), 0, 0, F(-3, 2)], [1, F(1, 2), 0, F(-3, 2)]]
+    )
+    def test_one_arc_carries_the_whole_supply(self, supplies):
+        # a zero-cost directed cycle 0 -> 1 -> 2 -> 0 whose only exit is
+        # the arc 2 -> 3, which therefore carries every unit of supply
+        cycle = [(0, 1, F(0), None), (1, 2, F(0), None), (2, 0, F(0), None)]
+        net = FlowNetwork(supplies, cycle + [(2, 3, F(1), None)])
+        cost, flows = min_cost_flow(net)
+        assert cost == F(3, 2) and flows[3] == F(3, 2)
+        assert min_cost_flow(capped_at_total_supply(net)) == (cost, flows)
+
+
 class TestFlowAgainstSimplex:
     @given(flow_instances())
     def test_routes_agree(self, net):
