@@ -10,6 +10,7 @@ carrying the same values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -299,6 +300,7 @@ def _cmd_selftest(args) -> tuple[int, list[str], dict]:
     return (0 if ok else 1), lines, payload
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcspace",
@@ -359,9 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .matching import Matching, NestedCheckResult, PairSequence, nested_matching_check
 from .metric import FiniteMetricSpace, family_metric
-from .rationals import exact_rational
+from .rationals import check_index, exact_rational
 from .transport import TransportationProblem, tc_norm
 
 _ZERO = Fraction(0)
@@ -120,6 +120,7 @@ def quadruple_inequality_check(family_tag: str, max_index: int) -> QuadrupleRepo
             "max_index too large for the quadruple sweep "
             f"(limit {QUADRUPLE_INDEX_LIMIT})"
         )
+    check_index(max_index, None, "max_index")
     d = family_metric(family_tag, max_index).int_dist
     violations = []
     count = 0

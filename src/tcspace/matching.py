@@ -4,7 +4,8 @@ The production matcher is a bitmask subset DP; a factorial enumeration
 of all matchings is kept alongside it as an oracle.  The nested check
 asks, prefix by prefix, whether a prescribed pairing of points is a
 minimum-weight perfect matching of the subspace it spans; ties count as
-passing.
+passing; one DP memo over the endpoints in reverse pair order serves
+every prefix.
 """
 
 from __future__ import annotations
@@ -79,6 +80,33 @@ def _checked_vertices(
     return sorted(vs)
 
 
+def _matching_dp(m, order: list[int]):
+    """Rows of ``m`` on ``order``, the lowest-first subset DP ``best`` and its memo."""
+    rows = [[m[a][b] for b in order] for a in order]
+    memo: dict[int, int] = {0: 0}
+
+    def best(mask: int) -> int:
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        row = rows[low]
+        best_w = None
+        sub = rest
+        while sub:
+            j = (sub & -sub).bit_length() - 1
+            sub ^= 1 << j
+            child = rest ^ (1 << j)
+            w = memo.get(child)
+            if w is None:
+                w = best(child)
+            w += row[j]
+            if best_w is None or w < best_w:
+                best_w = w
+        memo[mask] = best_w
+        return best_w
+
+    return rows, best, memo
+
+
 def min_weight_perfect_matching(
     space: FiniteMetricSpace, vertices: Iterable[int]
 ) -> Matching:
@@ -90,33 +118,11 @@ def min_weight_perfect_matching(
     deterministic.  Capped at ``DP_VERTEX_LIMIT`` vertices.
     """
     vs = _checked_vertices(space, vertices, DP_VERTEX_LIMIT)
-    m = space.int_dist
-    rows = [[m[a][b] for b in vs] for a in vs]
-    memo: dict[int, int] = {0: 0}
-
-    def best(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        row = rows[low]
-        best_w = None
-        sub = rest
-        while sub:
-            j = (sub & -sub).bit_length() - 1
-            sub ^= 1 << j
-            w = row[j] + best(rest ^ (1 << j))
-            if best_w is None or w < best_w:
-                best_w = w
-        memo[mask] = best_w
-        return best_w
-
-    full = (1 << len(vs)) - 1
-    total = best(full)
+    rows, best, memo = _matching_dp(space.int_dist, vs)
+    mask = (1 << len(vs)) - 1
+    total = best(mask)
 
     edges: list[tuple[int, int]] = []
-    mask = full
     while mask:
         low = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << low)
@@ -188,19 +194,25 @@ def nested_matching_check(
 ) -> NestedCheckResult:
     """Is every prefix of ``pairs`` a minimum-weight perfect matching?
 
-    Prefixes are scanned in order; equality of weights is accepted.  On
-    failure the result carries the smallest failing prefix together with
-    a strictly lighter matching of the same vertex set.
+    Prefixes are scanned in order; equality of weights is accepted.  The
+    DP positions are the endpoints in reverse pair order, so prefix k is
+    the top 2k and one memo serves every prefix.  On failure the result
+    carries the smallest failing prefix together with a strictly lighter
+    matching of the same vertex set.
     """
     if not pairs.pairs:
         raise ValueError("need at least one pair")
     pairs.check_in(space)
     if 2 * len(pairs.pairs) > DP_VERTEX_LIMIT:
         raise ValueError(f"pair sequence too long (limit {DP_VERTEX_LIMIT // 2})")
+    order = [p for pair in reversed(pairs.pairs) for p in pair]
+    rows, best, _ = _matching_dp(space.int_dist, order)
+    prescribed = 0
     for k in range(1, len(pairs.pairs) + 1):
-        span = [p for pair in pairs.pairs[:k] for p in pair]
-        prescribed = prescribed_prefix_weight(space, pairs, k)
-        optimum = min_weight_perfect_matching(space, span)
-        if optimum.weight < prescribed:
-            return NestedCheckResult(False, k, prescribed, optimum)
+        low = len(order) - 2 * k
+        prescribed += rows[low][low + 1]
+        if best((1 << len(order)) - (1 << low)) < prescribed:
+            witness = min_weight_perfect_matching(space, order[low:])
+            weight = prescribed_prefix_weight(space, pairs, k)
+            return NestedCheckResult(False, k, weight, witness)
     return NestedCheckResult(True, len(pairs.pairs))

@@ -195,6 +195,7 @@ def family_metric(tag: str, n: int) -> FiniteMetricSpace:
         raise ValueError("family truncations need n >= 2")
     if n > FAMILY_POINT_LIMIT:
         raise ValueError(f"family truncation too large (limit {FAMILY_POINT_LIMIT})")
+    check_index(n, None, "point count")
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

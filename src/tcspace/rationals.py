@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 
 _ZERO = Fraction(0)
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 class ParseError(ValueError):
@@ -28,10 +28,10 @@ class ParseError(ValueError):
 
 def parse_rational(token: str) -> Fraction:
     """Parse ``p`` or ``p/q`` exactly; reject anything else."""
-    if not _RATIONAL.match(token):
+    if not (match := _RATIONAL.match(token)):
         raise ParseError(f"not a rational token: {token!r}")
     try:
-        return Fraction(token)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {token!r}") from None
 

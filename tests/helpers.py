@@ -1,6 +1,7 @@
 """Shared test machinery: line spaces, alternative plans, exact rank,
 hypothesis strategies, a generator of provably minimal pair sequences,
-the ``Fraction``-tableau simplex kept as an oracle for the pivot path,
+the one-DP-per-prefix nested check kept as an oracle for the shared
+memo, the ``Fraction``-tableau simplex kept as an oracle for the pivot path,
 an exact least-squares solver kept as an oracle for the cut/cycle
 split, and the ``Fraction`` axiom loop kept as an oracle for metric
 validation."""
@@ -14,10 +15,13 @@ from hypothesis import strategies as st
 
 from tcspace import (
     FiniteMetricSpace,
+    NestedCheckResult,
     NotAMetricError,
     PairSequence,
     TransportPlan,
     TransportationProblem,
+    min_weight_perfect_matching,
+    prescribed_prefix_weight,
 )
 from tcspace.solvers import (
     EQ,
@@ -98,6 +102,24 @@ def clustered_pair_sequence(rng, count: int):
         coords.append(center + gap)
         pairs.append((2 * i, 2 * i + 1))
     return line_space(coords), PairSequence(tuple(pairs))
+
+
+def reference_nested_check(
+    space: FiniteMetricSpace, pairs: PairSequence
+) -> NestedCheckResult:
+    """The oracle for ``nested_matching_check``: one fresh DP per prefix.
+
+    Prefixes are scanned in order, each with its own
+    ``min_weight_perfect_matching`` call on its sorted vertices; the
+    first strictly lighter optimum fails the check and is the witness.
+    """
+    for k in range(1, len(pairs.pairs) + 1):
+        span = [p for pair in pairs.pairs[:k] for p in pair]
+        prescribed = prescribed_prefix_weight(space, pairs, k)
+        optimum = min_weight_perfect_matching(space, span)
+        if optimum.weight < prescribed:
+            return NestedCheckResult(False, k, prescribed, optimum)
+    return NestedCheckResult(True, len(pairs.pairs))
 
 
 # pairwise coprime, so every common denominator is a product of them

@@ -28,6 +28,7 @@ from tcspace import (
     parse_lip,
     parse_problem,
     prescribed_prefix_weight,
+    quadruple_inequality_check,
     quotient_norm,
     sign_pattern_isometry_check,
 )
@@ -125,6 +126,19 @@ class TestIndices:
         for k, m in ((0, 2), (2, 2)):
             with pytest.raises(ValueError, match="distinct and >= 1"):
                 family_distance("a", k, m)
+
+    def test_family_sizes_are_plain_ints(self):
+        for bad in (2.5, 3.0):
+            with pytest.raises(ValueError, match="point count must be"):
+                family_metric("a", bad)
+        with pytest.raises(ValueError, match="max_index must be"):
+            quadruple_inequality_check("a", 5.0)
+        # a bool is below both minimums, and the int messages are kept
+        for n in (True, 1, -1):
+            with pytest.raises(ValueError, match="family truncations need n >= 2"):
+                family_metric("a", n)
+            with pytest.raises(ValueError, match="needs max_index >= 4"):
+                quadruple_inequality_check("a", n)
 
     def test_prefix_weight_checks_its_length_and_endpoints(self):
         pairs = PairSequence(((0, 1), (2, 3)))

@@ -7,7 +7,7 @@ written here.  Input errors pin the exit code 2 and the stderr message.
 
 import pytest
 
-from tcspace.cli import run
+from tcspace.cli import _build_parser, run
 
 FILES = {
     "line.metric": "3\n1 3\n2\n",
@@ -878,3 +878,28 @@ def test_input_error_message(data_dir, capsys, argv, stderr):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.replace(str(data_dir), "DIR") == stderr
+
+
+def test_one_parser_serves_every_call(data_dir, capsys):
+    # the parser is built once per process, so no option set by one call
+    # (``--base``, ``--json``, a failed parse) may reach the next
+    pinned = {tuple(argv): (code, stdout) for argv, code, stdout in VERB_OUTPUT}
+    sequence = [
+        ["dual", "far.metric", "far.problem", "--base", "3"],
+        ["dual", "line.metric", "f.problem"],
+        ["nested-check", "a4.metric", "--pairs", "0:1,2:3", "--json"],
+        ["nested-check", "a4.metric", "--pairs", "0:1,2:3"],
+        ["matching", "far.metric"],
+        ["matching", "far.metric", "--vertices", "0,1,2,3"],
+    ]
+    for argv in sequence:
+        code = run(resolve(data_dir, argv))
+        captured = capsys.readouterr()
+        if tuple(argv) in pinned:
+            assert (code, captured.out) == pinned[tuple(argv)]
+            assert captured.err == ""
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert "the following arguments are required: --vertices" in captured.err
+    assert _build_parser() is _build_parser()

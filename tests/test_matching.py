@@ -16,10 +16,17 @@ from tcspace import (
     nested_matching_check,
     prescribed_prefix_weight,
 )
+from tcspace import matching
 from tcspace.matching import BRUTE_FORCE_VERTEX_LIMIT, DP_VERTEX_LIMIT
 from tcspace.metric import FiniteMetricSpace
 
-from helpers import clustered_pair_sequence, line_space, metric_spaces, over_a_prime
+from helpers import (
+    clustered_pair_sequence,
+    line_space,
+    metric_spaces,
+    over_a_prime,
+    reference_nested_check,
+)
 
 FAR_PAIRS = line_space([0, 1, 10, 11])
 
@@ -27,6 +34,41 @@ FAR_PAIRS = line_space([0, 1, 10, 11])
 def uniform_space(n):
     rows = [[F(0 if i == j else 1) for j in range(n)] for i in range(n)]
     return FiniteMetricSpace.from_matrix(rows)
+
+
+@st.composite
+def prefix_check_inputs(draw):
+    """A tie-heavy, coprime-denominator or line space with a pair sequence.
+
+    Half the sequences are random pairings; the other half are the
+    optimum matching of random points in a random pair order and
+    orientation, so the longest prefix passes and shorter ones may not.
+    """
+    n = draw(st.integers(4, 14))
+    kind = draw(st.sampled_from(("ties", "coprime", "line")))
+    if kind == "line":
+        side = st.fractions(min_value=-20, max_value=20, max_denominator=3)
+        space = line_space(draw(st.lists(side, min_size=n, max_size=n, unique=True)))
+    else:
+        if kind == "ties":
+            values = (F(1), F(3, 2), F(2))
+        else:
+            values = draw(st.lists(over_a_prime(1, 2), min_size=1, max_size=3))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(st.sampled_from(values))
+        space = FiniteMetricSpace.from_matrix(rows)
+    k = draw(st.integers(2, n // 2))
+    points = draw(st.permutations(range(n)))[: 2 * k]
+    if draw(st.booleans()):
+        edges = min_weight_perfect_matching(space, points).edges
+        pairs = draw(st.permutations(edges))
+        flips = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        pairs = [(y, x) if flip else (x, y) for (x, y), flip in zip(pairs, flips)]
+    else:
+        pairs = list(zip(points[::2], points[1::2]))
+    return space, PairSequence(tuple(pairs))
 
 
 class TestDataTypes:
@@ -158,6 +200,32 @@ class TestNestedCheck:
         result = nested_matching_check(space, pairs)
         assert result.passed
         assert result.depth == count
+
+    @given(prefix_check_inputs())
+    def test_shared_memo_agrees_with_one_dp_per_prefix(self, inputs):
+        space, pairs = inputs
+        assert nested_matching_check(space, pairs) == reference_nested_check(
+            space, pairs
+        )
+
+    def test_witness_matcher_runs_only_on_failure(self, monkeypatch):
+        calls = []
+        original = matching.min_weight_perfect_matching
+
+        def counting(space, vertices):
+            calls.append(sorted(vertices))
+            return original(space, vertices)
+
+        monkeypatch.setattr(matching, "min_weight_perfect_matching", counting)
+        space, pairs = clustered_pair_sequence(random.Random(3), 10)
+        assert nested_matching_check(space, pairs).passed
+        assert calls == []
+        # family a fails at prefix 2; the longer prefixes are never examined
+        a10 = family_metric("a", 10)
+        long = PairSequence(tuple((2 * i, 2 * i + 1) for i in range(5)))
+        result = nested_matching_check(a10, long)
+        assert (result.passed, result.depth) == (False, 2)
+        assert calls == [[0, 1, 2, 3]]
 
     @given(st.data())
     def test_failure_witness_is_strictly_lighter(self, data):

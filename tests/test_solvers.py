@@ -54,6 +54,23 @@ class TestRationals:
         assert format_rational(F(6, 3)) == "2"
         assert format_rational(5) == "5"
 
+    # ASCII, Arabic-Indic and fullwidth decimal digits: int() reads all three
+    @given(
+        st.sampled_from(("", "+", "-")),
+        st.text("0123456789\u0660\u0661\u0667\uff10\uff13", min_size=1, max_size=8),
+        st.none() | st.text("0123\u0660\u0662\uff10\uff19", min_size=1, max_size=8),
+    )
+    def test_agrees_with_fraction(self, sign, p, q):
+        token = sign + p + ("" if q is None else "/" + q)
+        try:
+            expected = F(token)
+        except ZeroDivisionError:
+            with pytest.raises(ParseError, match="zero denominator in"):
+                parse_rational(token)
+        else:
+            assert parse_rational(token) == expected
+            assert type(parse_rational(token)) is F
+
     @given(st.fractions(max_denominator=10**6))
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
