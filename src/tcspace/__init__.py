@@ -60,7 +60,6 @@ from .quotient import (
 )
 from .rationals import ParseError, format_rational, parse_rational
 from .solvers import (
-    FlowNetwork,
     InfeasibleError,
     LinearProgram,
     UnboundedError,

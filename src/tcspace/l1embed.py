@@ -113,6 +113,9 @@ def quadruple_inequality_check(family_tag: str, max_index: int) -> QuadrupleRepo
     The sums compare the family space's integer matrix ``int_dist``.
     ``max_index`` is capped at ``QUADRUPLE_INDEX_LIMIT``.
     """
+    # a bool is an int below the minimum, so the range check refuses it
+    if not isinstance(max_index, int):
+        check_index(max_index, None, "max_index")
     if max_index < 4:
         raise ValueError("quadruple sweep needs max_index >= 4")
     if max_index > QUADRUPLE_INDEX_LIMIT:
@@ -120,7 +123,6 @@ def quadruple_inequality_check(family_tag: str, max_index: int) -> QuadrupleRepo
             "max_index too large for the quadruple sweep "
             f"(limit {QUADRUPLE_INDEX_LIMIT})"
         )
-    check_index(max_index, None, "max_index")
     d = family_metric(family_tag, max_index).int_dist
     violations = []
     count = 0

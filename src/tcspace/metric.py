@@ -6,11 +6,11 @@ exactly.  Each space also carries one integer core, computed once at
 construction: ``scale``, the lcm of all denominators, and the ``int``
 matrix ``int_dist`` with ``dist[u][v] == int_dist[u][v] / scale``.
 Scaling by a positive constant keeps every sum, ``<`` and ``==``, so
-validation, the matching DP and the quadruple sweep compare integers
-and divide by ``scale`` only when they report a distance.  The module
-also generates the five one-parameter point families (tags ``a`` ..
-``e``) whose truncations exercise the nested-matching and sign-pattern
-machinery elsewhere in the package.
+validation, ``extremes``, the matching DP and the quadruple sweep
+compare integers and divide by ``scale`` only when they report a
+distance.  The module also generates the five one-parameter point
+families (tags ``a`` .. ``e``) whose truncations exercise the
+nested-matching and sign-pattern machinery elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -191,11 +191,13 @@ def family_metric(tag: str, n: int) -> FiniteMetricSpace:
 
     ``n`` is capped at ``FAMILY_POINT_LIMIT``.
     """
+    # a bool is an int below the minimum, so the range check refuses it
+    if not isinstance(n, int):
+        check_index(n, None, "point count")
     if n < 2:
         raise ValueError("family truncations need n >= 2")
     if n > FAMILY_POINT_LIMIT:
         raise ValueError(f"family truncation too large (limit {FAMILY_POINT_LIMIT})")
-    check_index(n, None, "point count")
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -219,9 +221,9 @@ def induced_subspace(
 
 def extremes(space: FiniteMetricSpace) -> tuple[Fraction, Fraction]:
     """``(smallest distance, diameter)`` over distinct point pairs."""
-    if space.n < 2:
+    n = space.n
+    if n < 2:
         raise ValueError("extremes need at least two points")
-    values = [
-        space.dist[u][v] for u in range(space.n) for v in range(u + 1, space.n)
-    ]
-    return min(values), max(values)
+    m = space.int_dist
+    values = [m[u][v] for u in range(n) for v in range(u + 1, n)]
+    return Fraction(min(values), space.scale), Fraction(max(values), space.scale)

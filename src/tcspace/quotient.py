@@ -69,6 +69,7 @@ class EdgeVector(SparseVector):
 
 def all_edges(n: int) -> list[Edge]:
     """Every edge of the complete graph on ``n`` points, lexicographic."""
+    _check_point_count(n)
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 

@@ -2,22 +2,22 @@
 
 Two primitives, both exact: a two-phase simplex solver using Bland's
 anti-cycling rule, and a successive-shortest-path minimum-cost flow
-solver with node potentials.  Inputs and results are
-``fractions.Fraction``, but neither kernel computes in ``Fraction``
-below its set-up.  LP rows are sparse from end to end: a
-``LinearProgram`` stores each row as a dict of its nonzeros, and the
-simplex keeps each tableau row, the cost row among them, as a dict of
-nonzero ``int`` entries plus an index from each column to the rows
-that hold it, so a pivot touches only the rows with an entry in the
-entering column.  The simplex scales its rows to ``int`` by the lcm of
-the denominators and eliminates with ``row*p - f*prow`` and one gcd
-division per updated row; a row stands for itself divided by its pivot
-entry, so the simplex takes exactly the pivots of a dense ``Fraction``
-tableau.  Each LP variable is one recipe, an offset plus signed
-nonnegative columns.  The flow kernel scales its amounts and its costs
-to integers by one common denominator each, and every residual
-capacity is an ``int``: an uncapacitated arc holds the total supply.
-Each kernel divides back to ``Fraction`` once, at the end.  Every tie
+solver with node potentials.  The simplex takes and returns
+``fractions.Fraction`` but computes in ``int`` below its set-up.  LP
+rows are sparse from end to end: a ``LinearProgram`` stores each row as
+a dict of its nonzeros, and the simplex keeps each tableau row, the
+cost row among them, as a dict of nonzero ``int`` entries plus an index
+from each column to the rows that hold it, so a pivot touches only the
+rows with an entry in the entering column.  The simplex scales its rows
+to ``int`` by the lcm of the denominators and eliminates with
+``row*p - f*prow`` and one gcd division per updated row; a row stands
+for itself divided by its pivot entry, so the simplex takes exactly the
+pivots of a dense ``Fraction`` tableau, and divides back to
+``Fraction`` once, at the end.  Each LP variable is one recipe, an
+offset plus signed nonnegative columns.  The flow kernel is
+uncapacitated and integer from end to end: plain ``int`` supplies and
+costs in, ``int`` flows and total out, every residual capacity an
+``int``; its caller scales rational data and divides back.  Every tie
 is broken by lowest index, so results are deterministic, and no step
 ever rounds.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -371,72 +372,38 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     return value, x
 
 
-class FlowNetwork:
-    """Minimum-cost flow instance: node supplies plus capacitated cost arcs.
+def min_cost_flow(
+    supplies: Sequence[int], arcs: Sequence[tuple[int, int, int]]
+) -> tuple[int, list[int]]:
+    """Route all supplies at minimum cost; returns ``(total cost, arc flows)``.
 
-    Arcs are ``(tail, head, cost, capacity)`` with plain ``int``
-    endpoints and ``capacity=None`` for uncapacitated arcs.  Supplies
-    must sum to zero and costs must be nonnegative; both are checked at
-    construction.
-    """
-
-    __slots__ = ("supplies", "arcs")
-
-    def __init__(self, supplies: Iterable, arcs: Iterable[tuple]):
-        self.supplies: tuple[Fraction, ...] = tuple(exact_rational(s) for s in supplies)
-        if sum(self.supplies, _ZERO) != 0:
-            raise ValueError("supplies must sum to zero")
-        n = len(self.supplies)
-        cleaned = []
-        for tail, head, cost, capacity in arcs:
-            check_index(tail, None, "arc endpoint")
-            check_index(head, None, "arc endpoint")
-            if not (tail < n and head < n):
-                raise ValueError(f"arc ({tail}, {head}) out of node range")
-            if tail == head:
-                raise ValueError(f"arc ({tail}, {head}) is a self-loop")
-            cost = exact_rational(cost)
-            if cost < 0:
-                raise ValueError("arc costs must be nonnegative")
-            if capacity is not None:
-                capacity = exact_rational(capacity)
-                if capacity < 0:
-                    raise ValueError("arc capacities must be nonnegative")
-            cleaned.append((tail, head, cost, capacity))
-        self.arcs: tuple = tuple(cleaned)
-
-
-def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Route all supplies at exact minimum cost; returns ``(cost, arc flows)``.
+    An integer, uncapacitated instance: ``supplies`` are plain ``int``s
+    that sum to zero, and each arc is a ``(tail, head, cost)`` triple of
+    plain ``int``s with a nonnegative cost.  Anything else, ``bool``,
+    ``float`` and ``Fraction`` included, raises ``ValueError``.  The
+    flows and the total ``sum(flow * cost)`` are ``int``s; callers with
+    rational data scale it to ``int`` first, which keeps every
+    comparison, and divide back once.
 
     Successive shortest augmenting paths from a super-source to a
     super-sink.  Node potentials keep every residual reduced cost
     nonnegative, so Dijkstra remains valid after each augmentation.
     Raises ``InfeasibleError`` when the supplies cannot be routed.
 
-    The loop runs on ``int`` only.  Supplies and capacities are scaled
-    by the lcm ``S`` of their denominators, costs by the lcm ``D`` of
-    theirs; scaling by positive constants keeps every comparison, so
-    the augmenting paths are the ones the rational loop would take.
-    Flows come back as ``f / S`` and the total as ``sum f*c / (S*D)``.
-
-    Every residual capacity is an ``int``; an uncapacitated arc starts
-    with the total positive supply ``required``.  That never binds:
-    each augmentation sends its bottleneck along a simple path, so no
-    arc carries more than has been delivered, which stays below
-    ``required`` until the loop ends.
+    Every arc's residual capacity starts at the total positive supply
+    ``required``.  That never binds: each augmentation sends its
+    bottleneck along a simple path, so no arc carries more than has been
+    delivered, which stays below ``required`` until the loop ends.
     """
-    n = len(net.supplies)
+    n = len(supplies)
+    for s in supplies:
+        if type(s) is not int:
+            raise ValueError(f"supplies must be plain ints, got {s!r}")
+    if sum(supplies) != 0:
+        raise ValueError("supplies must sum to zero")
+    required = sum(s for s in supplies if s > 0)
     source, sink = n, n + 1
     nn = n + 2
-
-    amounts = [*net.supplies, *(cap for *_, cap in net.arcs if cap is not None)]
-    scale = math.lcm(*(a.denominator for a in amounts))
-    cost_scale = math.lcm(*(arc[2].denominator for arc in net.arcs))
-
-    # supplies scaled to int; an uncapacitated arc gets the total supply
-    supplies = [s.numerator * (scale // s.denominator) for s in net.supplies]
-    required = sum(s for s in supplies if s > 0)
 
     to: list[int] = []
     rcost: list[int] = []
@@ -453,9 +420,19 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
         rcost.append(-cost)
         remain.append(0)
 
-    for tail, head, cost, cap in net.arcs:
-        cap = required if cap is None else cap.numerator * (scale // cap.denominator)
-        add_arc(tail, head, cost.numerator * (cost_scale // cost.denominator), cap)
+    for tail, head, cost in arcs:
+        check_index(tail, None, "arc endpoint")
+        check_index(head, None, "arc endpoint")
+        if not (tail < n and head < n):
+            raise ValueError(f"arc ({tail}, {head}) out of node range")
+        if tail == head:
+            raise ValueError(f"arc ({tail}, {head}) is a self-loop")
+        if type(cost) is not int:
+            raise ValueError(f"arc costs must be plain ints, got {cost!r}")
+        if cost < 0:
+            raise ValueError("arc costs must be nonnegative")
+        add_arc(tail, head, cost, required)
+    m = len(to) // 2
     for v, s in enumerate(supplies):
         if s > 0:
             add_arc(source, v, 0, s)
@@ -504,8 +481,5 @@ def min_cost_flow(net: FlowNetwork) -> tuple[Fraction, tuple[Fraction, ...]]:
                 potential[v] += dist[v]
         delivered += bottleneck
 
-    scaled = [remain[2 * idx + 1] for idx in range(len(net.arcs))]
-    total = sum(f * rcost[2 * idx] for idx, f in enumerate(scaled))
-    flows = tuple(Fraction(f, scale) for f in scaled)
-    return Fraction(total, scale * cost_scale), flows
-
+    flows = remain[1 : 2 * m : 2]
+    return sum(map(operator.mul, flows, rcost[0 : 2 * m : 2])), flows

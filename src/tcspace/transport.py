@@ -10,6 +10,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .rationals import (
     format_rational,
     indexed_lines,
 )
-from .solvers import EQ, FlowNetwork, LinearProgram, min_cost_flow, simplex_solve
+from .solvers import EQ, LinearProgram, min_cost_flow, simplex_solve
 
 _ZERO = Fraction(0)
 
@@ -116,24 +117,39 @@ def tc_norm(
     Solved as a bipartite min-cost flow from the positive part to the
     negative part.  The plan's moves go from points with f > 0 to points
     with f < 0 only; optimal plans need not be unique.
+
+    The flow runs on ``int``: amounts are scaled by the lcm ``S`` of
+    their denominators and the distances between the two parts by the
+    lcm ``D`` of theirs.  Scaling by positive constants keeps every
+    comparison, so the plan is the one the rational flow would find;
+    moves come back as ``t / S`` and the norm as ``total / (S*D)``.
+    ``D`` is taken over the support's own distances, not the space's
+    ``scale``: on a space with many coprime denominators ``scale`` has
+    thousands of bits, and every flow step would pay for them.
     """
     pos, neg = _signed_parts(space, f)
     if not pos:
         return _ZERO, TransportPlan((), _ZERO)
-    supplies = [a for _, a in pos] + [-a for _, a in neg]
-    arcs = []
-    for i, (x, _) in enumerate(pos):
-        for j, (y, _) in enumerate(neg):
-            arcs.append((i, len(pos) + j, space.dist[x][y], None))
-    cost, flows = min_cost_flow(FlowNetwork(supplies, arcs))
-    moves = []
-    k = 0
-    for i, (x, _) in enumerate(pos):
-        for j, (y, _) in enumerate(neg):
-            if flows[k] > 0:
-                moves.append((x, y, flows[k]))
-            k += 1
-    return cost, TransportPlan(tuple(moves), cost)
+    scale = math.lcm(*(a.denominator for _, a in f.entries))
+    supplies = [a.numerator * (scale // a.denominator) for _, a in pos]
+    supplies += [-a.numerator * (scale // a.denominator) for _, a in neg]
+    dist = [[space.dist[x][y] for y, _ in neg] for x, _ in pos]
+    cost_scale = math.lcm(*(d.denominator for row in dist for d in row))
+    k = len(pos)
+    arcs = [
+        (i, k + j, d.numerator * (cost_scale // d.denominator))
+        for i, row in enumerate(dist)
+        for j, d in enumerate(row)
+    ]
+    total, flows = min_cost_flow(supplies, arcs)
+    points = [v for v, _ in pos] + [v for v, _ in neg]
+    moves = tuple(
+        (points[i], points[j], Fraction(t, scale))
+        for (i, j, _), t in zip(arcs, flows)
+        if t > 0
+    )
+    cost = Fraction(total, scale * cost_scale)
+    return cost, TransportPlan(moves, cost)
 
 
 def tc_brute_force(space: FiniteMetricSpace, f: TransportationProblem) -> Fraction:

@@ -10,19 +10,20 @@ import pytest
 
 from tcspace import (
     EdgeVector,
-    FlowNetwork,
     LipFunction,
     Matching,
     PairSequence,
     ParseError,
     TransportationProblem,
     TransportPlan,
+    all_edges,
     cycle_basis,
     dual_optimal,
     family_distance,
     family_metric,
     format_rational,
     induced_subspace,
+    min_cost_flow,
     min_weight_perfect_matching,
     parse_edge_vector,
     parse_lip,
@@ -128,11 +129,12 @@ class TestIndices:
                 family_distance("a", k, m)
 
     def test_family_sizes_are_plain_ints(self):
-        for bad in (2.5, 3.0):
+        for bad in (2.5, 3.0, "3", None):
             with pytest.raises(ValueError, match="point count must be"):
                 family_metric("a", bad)
-        with pytest.raises(ValueError, match="max_index must be"):
-            quadruple_inequality_check("a", 5.0)
+        for bad in (5.0, "5", None):
+            with pytest.raises(ValueError, match="max_index must be"):
+                quadruple_inequality_check("a", bad)
         # a bool is below both minimums, and the int messages are kept
         for n in (True, 1, -1):
             with pytest.raises(ValueError, match="family truncations need n >= 2"):
@@ -161,13 +163,18 @@ class TestIndices:
         with pytest.raises(ValueError):
             LINE.d(True, 2)
 
-    def test_flow_network_refuses_non_int_endpoints(self):
+    def test_min_cost_flow_refuses_non_int_inputs(self):
         for arc in ((False, True), (0.0, 1), (0, 1.0), (-1, 1)):
             with pytest.raises(ValueError, match="arc endpoint"):
-                FlowNetwork([1, -1], [(*arc, 1, None)])
+                min_cost_flow([1, -1], [(*arc, 1)])
         with pytest.raises(ValueError, match="out of node range"):
-            FlowNetwork([1, -1], [(0, 2, 1, None)])
-        assert len(FlowNetwork([1, -1], [(0, 1, 1, None)]).arcs) == 1
+            min_cost_flow([1, -1], [(0, 2, 1)])
+        for bad in (True, 1.0, F(1)):
+            with pytest.raises(ValueError, match="supplies must be plain ints"):
+                min_cost_flow([bad, -1], [(0, 1, 1)])
+            with pytest.raises(ValueError, match="arc costs must be plain ints"):
+                min_cost_flow([1, -1], [(0, 1, bad)])
+        assert min_cost_flow([1, -1], [(0, 1, 1)]) == (1, [1])
 
     def test_point_counts_must_be_plain_ints(self):
         for bad in (True, 2.5, F(3), 0, -1):
@@ -175,7 +182,9 @@ class TestIndices:
                 EdgeVector(bad, ())
             with pytest.raises(ValueError, match="point count must be an int >= 1"):
                 cycle_basis(bad)
-        assert EdgeVector(1, ()).is_zero and cycle_basis(3)
+            with pytest.raises(ValueError, match="point count must be an int >= 1"):
+                all_edges(bad)
+        assert EdgeVector(1, ()).is_zero and cycle_basis(3) and all_edges(2)
 
     def test_dual_refuses_a_bool_base(self):
         with pytest.raises(ValueError, match="base point"):

@@ -296,3 +296,15 @@ class TestExtremes:
             for v in range(u + 1, space.n)
         ]
         assert extremes(space) == (min(values), max(values))
+
+    @given(st.data())
+    def test_oracle_on_coprime_denominators(self, data):
+        n = data.draw(st.integers(2, 7))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = data.draw(over_a_prime(1, 2))
+        space = FiniteMetricSpace.from_matrix(rows)
+        values = [rows[i][j] for i, j in itertools.combinations(range(n), 2)]
+        lo, hi = extremes(space)
+        assert (lo, hi) == (min(values), max(values))
+        assert type(lo) is F and type(hi) is F

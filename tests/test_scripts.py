@@ -80,8 +80,13 @@ def test_benchmark_traced_cli():
 
 
 def test_benchmark_traced_l1sweep():
-    # Each sign pattern's norm is a min-cost flow; a kernel change that
-    # the tracer misses shows up here as no flow calls.
+    # Each sign pattern's norm is one min-cost flow; a kernel change that
+    # the tracer misses, or a second kernel call per norm, shows up here
+    # as flow calls that differ from the norm calls.
     metrics = traced_benchmark("l1sweep")
     for name in ("solvers.flow_calls", "l1embed.patterns_per_sweep"):
         assert metrics[name]["value"] > 0, name
+    assert (
+        metrics["solvers.flow_calls"]["value"]
+        == metrics["transport.tc_norm_calls"]["value"]
+    )

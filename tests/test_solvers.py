@@ -1,6 +1,7 @@
 """Exact simplex and min-cost flow kernels, and the least-squares oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcspace import (
-    FlowNetwork,
     InfeasibleError,
     LinearProgram,
     ParseError,
@@ -528,64 +528,54 @@ class TestCostRow:
 
 class TestMinCostFlow:
     def test_transshipment(self):
-        net = FlowNetwork(
-            [F(2), F(-1), F(-1)],
-            [(0, 1, F(1), None), (0, 2, F(3), None), (1, 2, F(1), None)],
-        )
-        cost, flows = min_cost_flow(net)
-        assert cost == F(3)
-        assert flows == (F(2), F(0), F(1))
-
-    def test_capacity_forces_expensive_arc(self):
-        net = FlowNetwork(
-            [F(2), F(-1), F(-1)],
-            [(0, 1, F(1), F(1)), (0, 2, F(3), None), (1, 2, F(1), None)],
-        )
-        cost, flows = min_cost_flow(net)
-        assert cost == F(4)
-        assert flows == (F(1), F(1), F(0))
+        arcs = [(0, 1, 1), (0, 2, 3), (1, 2, 1)]
+        cost, flows = min_cost_flow([2, -1, -1], arcs)
+        assert cost == 3
+        assert flows == [2, 0, 1]
+        assert all(type(x) is int for x in (cost, *flows))
 
     def test_zero_supplies(self):
-        cost, flows = min_cost_flow(FlowNetwork([F(0), F(0)], []))
-        assert cost == F(0)
-        assert flows == ()
+        assert min_cost_flow([0, 0], []) == (0, [])
 
     def test_disconnected_is_infeasible(self):
         with pytest.raises(InfeasibleError):
-            min_cost_flow(FlowNetwork([F(1), F(-1)], []))
-
-    def test_capacity_shortfall_is_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            min_cost_flow(FlowNetwork([F(2), F(-2)], [(0, 1, F(0), F(1))]))
+            min_cost_flow([1, -1], [])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowNetwork([F(1)], [])
-        with pytest.raises(ValueError):
-            FlowNetwork([F(1), F(-1)], [(0, 1, F(-1), None)])
-        with pytest.raises(ValueError):
-            FlowNetwork([F(1), F(-1)], [(0, 2, F(1), None)])
-        with pytest.raises(ValueError):
-            FlowNetwork([F(1), F(-1)], [(0, 0, F(1), None)])
-        with pytest.raises(ValueError):
-            FlowNetwork([F(1), F(-1)], [(0, 1, F(1), F(-2))])
+        with pytest.raises(ValueError, match="sum to zero"):
+            min_cost_flow([1], [])
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_cost_flow([1, -1], [(0, 1, -1)])
+        with pytest.raises(ValueError, match="out of node range"):
+            min_cost_flow([1, -1], [(0, 2, 1)])
+        with pytest.raises(ValueError, match="self-loop"):
+            min_cost_flow([1, -1], [(0, 0, 1)])
+
+
+def as_int_instance(supplies, arcs):
+    """A rational instance scaled to ``int``: supplies by the lcm ``S`` of
+    their denominators, costs by the lcm ``D`` of theirs; returns
+    ``(S, D, int supplies, int arcs)``."""
+    scale = math.lcm(*(F(s).denominator for s in supplies))
+    cost_scale = math.lcm(*(F(c).denominator for *_, c in arcs))
+    return (
+        scale,
+        cost_scale,
+        [int(s * scale) for s in supplies],
+        [(u, v, int(c * cost_scale)) for u, v, c in arcs],
+    )
 
 
 @st.composite
 def flow_instances(draw):
-    """Complete bidirected networks with random caps; may be infeasible."""
+    """Complete bidirected int networks; every pair of nodes is joined."""
     n = draw(st.integers(3, 4))
-    raw = [F(draw(st.integers(-3, 3))) for _ in range(n - 1)]
-    supplies = raw + [-sum(raw, F(0))]
-    arcs = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            cost = F(draw(st.integers(0, 3)), draw(st.integers(1, 2)))
-            cap = draw(st.one_of(st.none(), st.integers(1, 3).map(F)))
-            arcs.append((u, v, cost, cap))
-    return FlowNetwork(supplies, arcs)
+    raw = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+    supplies = raw + [-sum(raw)]
+    arcs = [
+        (u, v, draw(st.integers(0, 3))) for u in range(n) for v in range(n) if u != v
+    ]
+    return supplies, arcs
 
 
 @st.composite
@@ -594,109 +584,89 @@ def coprime_flow_instances(draw):
     n = draw(st.integers(3, 4))
     raw = [draw(over_a_prime(-3, 3)) for _ in range(n - 1)]
     supplies = raw + [-sum(raw, F(0))]
-    arcs = []
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                cap = draw(st.none() | over_a_prime(1, 3))
-                arcs.append((u, v, draw(over_a_prime(0, 3)), cap))
-    return FlowNetwork(supplies, arcs)
+    arcs = [
+        (u, v, draw(over_a_prime(0, 3)))
+        for u in range(n)
+        for v in range(n)
+        if u != v
+    ]
+    return supplies, arcs
 
 
 @st.composite
-def uncapacitated_flow_instances(draw):
+def ring_flow_instances(draw):
     """A directed ring through every node plus random chords, with zero
-    costs and ``None`` capacities among the draws; may be infeasible."""
+    costs among the draws, so zero-cost cycles are common."""
     n = draw(st.integers(2, 5))
-    raw = [draw(st.fractions(-4, 4, max_denominator=3)) for _ in range(n - 1)]
-    supplies = raw + [-sum(raw, F(0))]
+    raw = [draw(st.integers(-4, 4)) for _ in range(n - 1)]
+    supplies = raw + [-sum(raw)]
     ring = [(v, (v + 1) % n) for v in range(n)]
     chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     chords = draw(st.lists(chord.filter(lambda a: a[0] != a[1]), max_size=6))
-    cost = st.sampled_from([F(0), F(1, 2), F(1), F(3)])
-    cap = st.none() | st.integers(0, 3).map(F)
-    arcs = [(u, v, draw(cost), draw(cap)) for u, v in ring + chords]
-    return FlowNetwork(supplies, arcs)
-
-
-def capped_at_total_supply(net: FlowNetwork) -> FlowNetwork:
-    """``net`` with every ``None`` capacity replaced by the total positive supply."""
-    total = sum((s for s in net.supplies if s > 0), F(0))
-    return FlowNetwork(
-        net.supplies,
-        [(u, v, c, total if cap is None else cap) for u, v, c, cap in net.arcs],
-    )
+    cost = st.sampled_from([0, 1, 2, 6])
+    return supplies, [(u, v, draw(cost)) for u, v in ring + chords]
 
 
 class TestUncapacitatedArcs:
-    """An uncapacitated arc routes exactly like one capped at the total
-    positive supply: no arc carries more before every unit is delivered."""
+    """Every residual capacity starts at the total positive supply, and
+    that bound never binds: no arc carries more before every unit is
+    delivered."""
 
-    @given(uncapacitated_flow_instances())
-    def test_same_cost_and_flows_as_total_supply_caps(self, net):
-        try:
-            expected = min_cost_flow(capped_at_total_supply(net))
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                min_cost_flow(net)
-            return
-        assert min_cost_flow(net) == expected
-
-    @pytest.mark.parametrize(
-        "supplies", [[F(3, 2), 0, 0, F(-3, 2)], [1, F(1, 2), 0, F(-3, 2)]]
-    )
+    @pytest.mark.parametrize("supplies", [[3, 0, 0, -3], [2, 1, 0, -3]])
     def test_one_arc_carries_the_whole_supply(self, supplies):
         # a zero-cost directed cycle 0 -> 1 -> 2 -> 0 whose only exit is
         # the arc 2 -> 3, which therefore carries every unit of supply
-        cycle = [(0, 1, F(0), None), (1, 2, F(0), None), (2, 0, F(0), None)]
-        net = FlowNetwork(supplies, cycle + [(2, 3, F(1), None)])
-        cost, flows = min_cost_flow(net)
-        assert cost == F(3, 2) and flows[3] == F(3, 2)
-        assert min_cost_flow(capped_at_total_supply(net)) == (cost, flows)
+        arcs = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 1)]
+        cost, flows = min_cost_flow(supplies, arcs)
+        assert cost == 3 and flows[3] == 3
+        assert max(flows) == 3
 
 
 class TestFlowAgainstSimplex:
+    """The kernel's optimum equals the LP's with every arc in ``(0, None)``."""
+
     @given(flow_instances())
-    def test_routes_agree(self, net):
-        self.check_against_simplex(net)
+    def test_routes_agree(self, instance):
+        self.check_against_simplex(*instance)
 
     @given(coprime_flow_instances())
-    def test_routes_agree_on_coprime_denominators(self, net):
-        self.check_against_simplex(net)
+    def test_routes_agree_on_coprime_denominators(self, instance):
+        self.check_against_simplex(*instance)
+
+    @given(ring_flow_instances())
+    def test_routes_agree_on_rings_with_chords(self, instance):
+        self.check_against_simplex(*instance)
 
     @staticmethod
-    def check_against_simplex(net):
-        nvars = len(net.arcs)
-        objective = [cost for _, _, cost, _ in net.arcs]
+    def check_against_simplex(supplies, arcs):
+        nvars = len(arcs)
+        objective = [cost for _, _, cost in arcs]
         constraints = []
-        for v, supply in enumerate(net.supplies):
+        for v, supply in enumerate(supplies):
             row = [F(0)] * nvars
-            for k, (tail, head, _, _) in enumerate(net.arcs):
+            for k, (tail, head, _) in enumerate(arcs):
                 if tail == v:
                     row[k] += F(1)
                 if head == v:
                     row[k] -= F(1)
             constraints.append((row, EQ, supply))
-        bounds = [(F(0), cap) for _, _, _, cap in net.arcs]
-        lp = LinearProgram(objective, constraints, bounds)
-        try:
-            flow_cost, flows = min_cost_flow(net)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                simplex_solve(lp)
-            return
+        lp = LinearProgram(objective, constraints, [(F(0), None)] * nvars)
         lp_cost, _ = simplex_solve(lp)
-        assert flow_cost == lp_cost
-        # the flow itself must be conserving and within caps
-        for v, supply in enumerate(net.supplies):
+        scale, cost_scale, int_supplies, int_arcs = as_int_instance(supplies, arcs)
+        total, int_flows = min_cost_flow(int_supplies, int_arcs)
+        assert all(type(x) is int for x in (total, *int_flows))
+        assert F(total, scale * cost_scale) == lp_cost
+        # the flow itself must be conserving, nonnegative and within the
+        # total positive supply
+        required = sum(s for s in int_supplies if s > 0)
+        flows = [F(x, scale) for x in int_flows]
+        for v, supply in enumerate(supplies):
             net_out = sum(
-                (flows[k] for k, a in enumerate(net.arcs) if a[0] == v), F(0)
-            ) - sum((flows[k] for k, a in enumerate(net.arcs) if a[1] == v), F(0))
+                (flows[k] for k, a in enumerate(arcs) if a[0] == v), F(0)
+            ) - sum((flows[k] for k, a in enumerate(arcs) if a[1] == v), F(0))
             assert net_out == supply
-        for k, (_, _, _, cap) in enumerate(net.arcs):
-            assert type(flows[k]) is F
-            assert flows[k] >= 0
-            assert cap is None or flows[k] <= cap
+        assert all(0 <= x <= required for x in int_flows)
+        assert sum(x * c for x, (*_, c) in zip(flows, arcs)) == lp_cost
 
 
 class TestLeastSquares:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tcspace import (
     FiniteMetricSpace,
-    FlowNetwork,
     NotZeroSumError,
     ParseError,
     TransportPlan,
@@ -17,7 +16,6 @@ from tcspace import (
     family_metric,
     format_problem,
     l1_norm,
-    min_cost_flow,
     parse_problem,
     point_embedding,
     tc_brute_force,
@@ -49,6 +47,29 @@ def coprime_spaces_with_problems(draw):
     values.append(-sum(values, F(0)))
     f = TransportationProblem.from_values(dict(zip(points, values)))
     return FiniteMetricSpace.from_matrix(rows), f
+
+
+@st.composite
+def scaling_cases(draw):
+    """A coprime-denominator or tie-heavy ({1, 3/2, 2}) space, a problem
+    on it and a positive rational factor."""
+    n = draw(st.integers(2, 7))
+    side = draw(
+        st.sampled_from([over_a_prime(1, 2), st.sampled_from([F(1), F(3, 2), F(2)])])
+    )
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(side)
+    value = draw(
+        st.sampled_from([over_a_prime(-3, 3), st.integers(-3, 3).map(F)])
+    ).filter(bool)
+    points = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    values = [draw(value) for _ in points[1:]]
+    values.append(-sum(values, F(0)))
+    f = TransportationProblem.from_values(dict(zip(points, values)))
+    factor = draw(over_a_prime(0, 4).filter(bool) | st.sampled_from([F(1, 3), F(5)]))
+    return FiniteMetricSpace.from_matrix(rows), f, factor
 
 
 class TestProblemAlgebra:
@@ -173,24 +194,15 @@ class TestNorm:
     @given(coprime_spaces_with_problems())
     def test_large_coprime_denominators(self, case):
         space, f = case
-        pos = [(v, a) for v, a in f.entries if a > 0]
-        neg = [(v, -a) for v, a in f.entries if a < 0]
-        supplies = [a for _, a in pos] + [-a for _, a in neg]
-        arcs = [
-            (i, len(pos) + j, space.d(x, y), None)
-            for i, (x, _) in enumerate(pos)
-            for j, (y, _) in enumerate(neg)
-        ]
-        cost, flows = min_cost_flow(FlowNetwork(supplies, arcs))
+        norm, plan = tc_norm(space, f)
         oracle = tc_brute_force(space, f)
-        assert cost == oracle
-        assert tc_norm(space, f)[0] == oracle
-        assert all(type(x) is F and x >= 0 for x in flows)
-        assert sum(x * arc[2] for x, arc in zip(flows, arcs)) == cost
-        for v, supply in enumerate(supplies):
-            out = sum((x for x, arc in zip(flows, arcs) if arc[0] == v), F(0))
-            into = sum((x for x, arc in zip(flows, arcs) if arc[1] == v), F(0))
-            assert out - into == supply
+        assert norm == oracle == plan.cost
+        assert all(type(a) is F and a > 0 for _, _, a in plan.moves)
+        assert sum(a * space.d(x, y) for x, y, a in plan.moves) == norm
+        for v, value in f.entries:
+            out = sum((a for x, _, a in plan.moves if x == v), F(0))
+            into = sum((a for _, y, a in plan.moves if y == v), F(0))
+            assert out - into == value
 
     @given(spaces_with_problems())
     def test_norm_axioms(self, case):
@@ -234,6 +246,30 @@ class TestNorm:
         assert plan.problem() == f
         assert plan.cost_in(space) == plan.cost
         assert plan.cost >= tc_norm(space, f)[0]
+
+
+class TestScaling:
+    """The flow runs on ``int`` after scaling by positive constants, so a
+    common factor on the distances or on ``f`` changes no decision."""
+
+    @given(scaling_cases())
+    def test_scaled_distances_keep_the_moves(self, case):
+        space, f, c = case
+        norm, plan = tc_norm(space, f)
+        scaled = FiniteMetricSpace.from_matrix(
+            [[c * d for d in row] for row in space.dist]
+        )
+        scaled_norm, scaled_plan = tc_norm(scaled, f)
+        assert scaled_plan.moves == plan.moves
+        assert scaled_norm == c * norm
+
+    @given(scaling_cases())
+    def test_scaled_problem_scales_every_move(self, case):
+        space, f, c = case
+        norm, plan = tc_norm(space, f)
+        scaled_norm, scaled_plan = tc_norm(space, f.scaled(c))
+        assert scaled_plan.moves == tuple((x, y, c * a) for x, y, a in plan.moves)
+        assert scaled_norm == c * norm
 
 
 class TestEmbedding:
