@@ -11,12 +11,10 @@ defeat those checks.
 from .duality import (
     LipFunction,
     dual_optimal,
-    format_lip,
     gradient_field,
     linf_d_norm,
     lip_constant,
     pairing,
-    parse_lip,
 )
 from .l1embed import (
     QuadrupleReport,
@@ -42,7 +40,6 @@ from .metric import (
     extremes,
     family_distance,
     family_metric,
-    induced_subspace,
     parse_metric,
     serialize_metric,
 )

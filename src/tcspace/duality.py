@@ -14,13 +14,7 @@ from fractions import Fraction
 
 from .metric import FiniteMetricSpace
 from .quotient import EdgeVector, all_edges
-from .rationals import (
-    ParseError,
-    check_index,
-    exact_rational,
-    format_rational,
-    indexed_lines,
-)
+from .rationals import check_index, exact_rational
 from .solvers import LE, LinearProgram, simplex_solve
 from .transport import TransportationProblem
 
@@ -124,20 +118,3 @@ def linf_d_norm(space: FiniteMetricSpace, g: EdgeVector) -> Fraction:
         if ratio > best:
             best = ratio
     return best
-
-
-def parse_lip(text: str, n: int) -> LipFunction:
-    """Read the ``index value`` format; unlisted points default to zero."""
-    values = [_ZERO] * n
-    seen: set[int] = set()
-    for lineno, (v,), a in indexed_lines(text, 1, n):
-        if v in seen:
-            raise ParseError(f"line {lineno}: duplicate index {v}")
-        seen.add(v)
-        values[v] = a
-    return LipFunction(tuple(values))
-
-
-def format_lip(h: LipFunction) -> str:
-    """Write the format read by :func:`parse_lip` (all points, in order)."""
-    return "".join(f"{v} {format_rational(a)}\n" for v, a in enumerate(h.values))

@@ -1,7 +1,8 @@
 """Shared test machinery: line spaces, alternative plans, exact rank,
 hypothesis strategies, a generator of provably minimal pair sequences,
-the one-DP-per-prefix nested check kept as an oracle for the shared
-memo, the ``Fraction``-tableau simplex kept as an oracle for the pivot path,
+the subset-DP matcher and the one-DP-per-prefix nested check kept as
+oracles for the blossom kernel, the ``Fraction``-tableau simplex kept
+as an oracle for the pivot path,
 an exact least-squares solver kept as an oracle for the cut/cycle
 split, and the ``Fraction`` axiom loop kept as an oracle for metric
 validation."""
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 
 from tcspace import (
     FiniteMetricSpace,
+    Matching,
     NestedCheckResult,
     NotAMetricError,
     PairSequence,
     TransportPlan,
     TransportationProblem,
-    min_weight_perfect_matching,
     prescribed_prefix_weight,
 )
 from tcspace.solvers import (
@@ -104,19 +105,76 @@ def clustered_pair_sequence(rng, count: int):
     return line_space(coords), PairSequence(tuple(pairs))
 
 
+def matching_dp(m, order: list[int]):
+    """Rows of ``m`` on ``order``, the lowest-first subset DP ``best`` and its memo.
+
+    ``best(mask)`` is the minimum weight of a perfect matching of the
+    positions in ``mask``: the lowest position is paired with each
+    other one in turn.
+    """
+    rows = [[m[a][b] for b in order] for a in order]
+    memo: dict[int, int] = {0: 0}
+
+    def best(mask: int) -> int:
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        row = rows[low]
+        best_w = None
+        sub = rest
+        while sub:
+            j = (sub & -sub).bit_length() - 1
+            sub ^= 1 << j
+            child = rest ^ (1 << j)
+            w = memo.get(child)
+            if w is None:
+                w = best(child)
+            w += row[j]
+            if best_w is None or w < best_w:
+                best_w = w
+        memo[mask] = best_w
+        return best_w
+
+    return rows, best, memo
+
+
+def reference_matching(space: FiniteMetricSpace, vertices) -> Matching:
+    """The oracle for ``min_weight_perfect_matching``: the subset DP.
+
+    The DP runs on ``int_dist`` over the sorted vertices.  The edges are
+    read back lowest vertex first, each paired with its smallest optimal
+    partner, which gives the lexicographically smallest optimal list.
+    """
+    vs = sorted(vertices)
+    rows, best, memo = matching_dp(space.int_dist, vs)
+    mask = (1 << len(vs)) - 1
+    total = best(mask)
+    edges: list[tuple[int, int]] = []
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        j = next(
+            j
+            for j in range(low + 1, len(vs))
+            if rest >> j & 1 and rows[low][j] + memo[rest ^ (1 << j)] == memo[mask]
+        )
+        edges.append((vs[low], vs[j]))
+        mask = rest ^ (1 << j)
+    return Matching(tuple(edges), Fraction(total, space.scale))
+
+
 def reference_nested_check(
     space: FiniteMetricSpace, pairs: PairSequence
 ) -> NestedCheckResult:
     """The oracle for ``nested_matching_check``: one fresh DP per prefix.
 
     Prefixes are scanned in order, each with its own
-    ``min_weight_perfect_matching`` call on its sorted vertices; the
-    first strictly lighter optimum fails the check and is the witness.
+    ``reference_matching`` call on its vertices; the first strictly
+    lighter optimum fails the check and is the witness.
     """
     for k in range(1, len(pairs.pairs) + 1):
         span = [p for pair in pairs.pairs[:k] for p in pair]
         prescribed = prescribed_prefix_weight(space, pairs, k)
-        optimum = min_weight_perfect_matching(space, span)
+        optimum = reference_matching(space, span)
         if optimum.weight < prescribed:
             return NestedCheckResult(False, k, prescribed, optimum)
     return NestedCheckResult(True, len(pairs.pairs))

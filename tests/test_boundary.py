@@ -22,11 +22,9 @@ from tcspace import (
     family_distance,
     family_metric,
     format_rational,
-    induced_subspace,
     min_cost_flow,
     min_weight_perfect_matching,
     parse_edge_vector,
-    parse_lip,
     parse_problem,
     prescribed_prefix_weight,
     quadruple_inequality_check,
@@ -100,12 +98,6 @@ class TestIndices:
         for edge in ((False, True), (-1, 2), (0.5, 2), (0, F(2))):
             with pytest.raises(ValueError, match="matching endpoint"):
                 Matching((edge,), 1)
-
-    def test_induced_subspace_refuses_non_int_indices(self):
-        with pytest.raises(ValueError, match="point index"):
-            induced_subspace(LINE, [0.7, 2.2])
-        with pytest.raises(ValueError, match="point index"):
-            induced_subspace(LINE, [0, True])
 
     def test_plan_moves_refuse_non_int_endpoints(self):
         for bad in (True, 0.5, -1):
@@ -248,8 +240,6 @@ PARSE_ERRORS = [
     (parse_problem, "0", "line 1: expected 'index value'"),
     (parse_problem, "\n# note\nx 1", "line 3: bad point index 'x'"),
     (parse_problem, "0 1.5", "not a rational token: '1.5'"),
-    (lambda t: parse_lip(t, 3), "9 1", "line 1: index 9 out of range for n=3"),
-    (lambda t: parse_lip(t, 3), "0 1\n0 2", "line 2: duplicate index 0"),
     (lambda t: parse_edge_vector(t, 3), "0 1", "line 1: expected 'i j value'"),
     (lambda t: parse_edge_vector(t, 3), "0 x 1", "line 1: bad edge indices '0' 'x'"),
     (lambda t: parse_edge_vector(t, 3), "1 0 1", "line 1: edge must satisfy i < j"),
@@ -267,8 +257,6 @@ class TestLineReader:
     def test_duplicate_policies(self):
         assert parse_problem("0 1\n0 1\n1 -2\n").value(0) == 2
         assert parse_edge_vector("0 1 1\n0 1 1\n", 2).value(0, 1) == 2
-        with pytest.raises(ParseError, match="duplicate index"):
-            parse_lip("0 1\n0 1\n", 2)
 
 
 def uniform_metric_text(n: int) -> str:

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from tcspace import (
     LipFunction,
-    ParseError,
     TransportationProblem,
     cut_decomposition,
     dual_optimal,
-    format_lip,
     gradient_field,
     l1_norm,
     linf_d_norm,
     lip_constant,
     pairing,
-    parse_lip,
     tc_norm,
 )
 
@@ -148,20 +145,3 @@ class TestGradients:
         g = gradient_field(space, h)
         assert linf_d_norm(space, g) <= F(1)
         assert pairing(h, f) == value
-
-
-class TestTextFormat:
-    def test_defaults_and_parse(self):
-        h = parse_lip("2 -3\n0 0\n", 3)
-        assert h.values == (F(0), F(0), F(-3))
-
-    @pytest.mark.parametrize(
-        "text", ["0", "0 1 2", "x 1", "0 1.5", "9 1", "0 1\n0 2"]
-    )
-    def test_rejects(self, text):
-        with pytest.raises(ParseError):
-            parse_lip(text, 3)
-
-    def test_round_trip(self):
-        h = LipFunction((F(0), F(5, 3), F(-2)))
-        assert parse_lip(format_lip(h), 3) == h

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tcspace import (
+    FAMILY_TAGS,
     Matching,
     PairSequence,
     family_metric,
@@ -19,12 +20,15 @@ from tcspace import (
 from tcspace import matching
 from tcspace.matching import BRUTE_FORCE_VERTEX_LIMIT, DP_VERTEX_LIMIT
 from tcspace.metric import FiniteMetricSpace
+from tcspace.sampling import random_line_space, random_metric_space
 
 from helpers import (
     clustered_pair_sequence,
     line_space,
+    matching_dp,
     metric_spaces,
     over_a_prime,
+    reference_matching,
     reference_nested_check,
 )
 
@@ -34,6 +38,34 @@ FAR_PAIRS = line_space([0, 1, 10, 11])
 def uniform_space(n):
     rows = [[F(0 if i == j else 1) for j in range(n)] for i in range(n)]
     return FiniteMetricSpace.from_matrix(rows)
+
+
+def draw_space(draw, n, kind):
+    """A tie-heavy, coprime-denominator, line or family space on n points."""
+    if kind in FAMILY_TAGS:
+        return family_metric(kind, n)
+    if kind == "line":
+        side = st.fractions(min_value=-20, max_value=20, max_denominator=3)
+        return line_space(draw(st.lists(side, min_size=n, max_size=n, unique=True)))
+    if kind == "ties":
+        values = (F(1), F(3, 2), F(2))
+    else:
+        values = draw(st.lists(over_a_prime(1, 2), min_size=1, max_size=3))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(values))
+    return FiniteMetricSpace.from_matrix(rows)
+
+
+@st.composite
+def matching_inputs(draw):
+    """Any space kind with 2..DP_VERTEX_LIMIT of its points, shuffled."""
+    kind = draw(st.sampled_from(("ties", "coprime", "line") + FAMILY_TAGS))
+    size = 2 * draw(st.integers(1, DP_VERTEX_LIMIT // 2))
+    n = draw(st.integers(size, DP_VERTEX_LIMIT + 2))
+    space = draw_space(draw, n, kind)
+    return space, draw(st.permutations(range(n)))[:size]
 
 
 @st.composite
@@ -46,19 +78,7 @@ def prefix_check_inputs(draw):
     """
     n = draw(st.integers(4, 14))
     kind = draw(st.sampled_from(("ties", "coprime", "line")))
-    if kind == "line":
-        side = st.fractions(min_value=-20, max_value=20, max_denominator=3)
-        space = line_space(draw(st.lists(side, min_size=n, max_size=n, unique=True)))
-    else:
-        if kind == "ties":
-            values = (F(1), F(3, 2), F(2))
-        else:
-            values = draw(st.lists(over_a_prime(1, 2), min_size=1, max_size=3))
-        rows = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = draw(st.sampled_from(values))
-        space = FiniteMetricSpace.from_matrix(rows)
+    space = draw_space(draw, n, kind)
     k = draw(st.integers(2, n // 2))
     points = draw(st.permutations(range(n)))[: 2 * k]
     if draw(st.booleans()):
@@ -152,6 +172,58 @@ class TestMinimumMatching:
         assert dp.weight == bf.weight
         assert type(dp.weight) is F
         assert dp.edges == bf.edges
+
+    @given(matching_inputs())
+    def test_agrees_with_the_subset_dp(self, inputs):
+        space, vertices = inputs
+        assert min_weight_perfect_matching(space, vertices) == reference_matching(
+            space, vertices
+        )
+
+    def test_uniform_metric_pairs_neighbours(self):
+        for n in range(2, DP_VERTEX_LIMIT + 1, 2):
+            result = min_weight_perfect_matching(uniform_space(n), range(n))
+            assert result.edges == tuple((i, i + 1) for i in range(0, n, 2))
+            assert result.weight == n // 2
+
+    def test_tied_four_cycle_takes_the_smaller_edge_list(self):
+        # the cycle 0-2-1-3-0 with unit sides: {02, 13} and {03, 12}
+        # both weigh 2, the diagonals {01, 23} weigh 4
+        rows = [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 2], [1, 1, 2, 0]]
+        space = FiniteMetricSpace.from_matrix([[F(x) for x in r] for r in rows])
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
+            result = min_weight_perfect_matching(space, order)
+            assert result == Matching(((0, 2), (1, 3)), F(2))
+
+    @given(st.integers(0, 10**6), st.integers(1, DP_VERTEX_LIMIT // 2))
+    def test_kernel_total_is_the_dp_optimum(self, seed, half):
+        # any symmetric int matrix, negative and tied entries included
+        rng = random.Random(seed)
+        m = 2 * half
+        w = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                w[i][j] = w[j][i] = rng.randrange(-3, 4) * rng.choice((1, 10**20))
+        mate, total = matching._blossom(w)
+        assert sorted(mate) == list(range(m))
+        assert all(mate[mate[i]] == i != mate[i] for i in range(m))
+        assert total == sum(w[i][mate[i]] for i in range(m) if i < mate[i])
+        _, best, _ = matching_dp(w, list(range(m)))
+        assert total == best((1 << m) - 1)
+
+    def test_weight_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(11)
+        for size in (2, 8, 14, 20):
+            for space in (random_metric_space(rng, 20), random_line_space(rng, 20)):
+                vertices = rng.sample(range(20), size)
+                graph = nx.Graph()
+                for i, u in enumerate(vertices):
+                    for v in vertices[i + 1 :]:
+                        graph.add_edge(u, v, weight=space.int_dist[u][v])
+                expected = sum(space.int_dist[u][v] for u, v in nx.min_weight_matching(graph))
+                result = min_weight_perfect_matching(space, vertices)
+                assert result.weight == F(expected, space.scale)
 
 
 class TestNestedCheck:
@@ -253,3 +325,24 @@ class TestNestedCheck:
             if result.depth > 1:
                 shorter = PairSequence(pairs.pairs[: result.depth - 1])
                 assert nested_matching_check(space, shorter).passed
+
+    def test_twenty_vertices_against_the_dp_reference(self):
+        rng = random.Random(7)
+        line = random_line_space(rng, 20)
+        ten = tuple((2 * i, 2 * i + 1) for i in range(10))
+        cases = [
+            clustered_pair_sequence(rng, 10),
+            (line, PairSequence(ten)),
+            (line, PairSequence(ten[::-1])),
+            (line, PairSequence(ten[:8] + ((16, 18), (17, 19)))),
+            (line, PairSequence(ten[:4] + ((8, 10), (9, 11)) + ten[6:])),
+            (family_metric("b", 20), PairSequence(ten)),
+        ]
+        verdicts = []
+        for space, pairs in cases:
+            result = nested_matching_check(space, pairs)
+            assert result == reference_nested_check(space, pairs)
+            verdicts.append((result.passed, result.depth))
+        assert verdicts == [
+            (True, 10), (True, 10), (True, 10), (False, 10), (False, 6), (False, 2)
+        ]
