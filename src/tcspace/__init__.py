@@ -40,6 +40,7 @@ from .metric import (
     extremes,
     family_distance,
     family_metric,
+    induced_subspace,
     parse_metric,
     serialize_metric,
 )

@@ -22,6 +22,7 @@ from tcspace import (
     family_distance,
     family_metric,
     format_rational,
+    induced_subspace,
     min_cost_flow,
     min_weight_perfect_matching,
     parse_edge_vector,
@@ -98,6 +99,12 @@ class TestIndices:
         for edge in ((False, True), (-1, 2), (0.5, 2), (0, F(2))):
             with pytest.raises(ValueError, match="matching endpoint"):
                 Matching((edge,), 1)
+
+    def test_induced_subspace_refuses_non_int_indices(self):
+        with pytest.raises(ValueError, match="point index"):
+            induced_subspace(LINE, [0.7, 2.2])
+        with pytest.raises(ValueError, match="point index"):
+            induced_subspace(LINE, [0, True])
 
     def test_plan_moves_refuse_non_int_endpoints(self):
         for bad in (True, 0.5, -1):

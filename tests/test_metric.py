@@ -15,6 +15,7 @@ from tcspace import (
     extremes,
     family_distance,
     family_metric,
+    induced_subspace,
     parse_metric,
     serialize_metric,
 )
@@ -216,6 +217,59 @@ class TestFamilies:
         for i in range(6):
             for j in range(i + 1, 6):
                 assert space.d(i, j) == family_distance("c", i + 1, j + 1)
+
+
+class TestSubspaces:
+    def test_prefix_of_family(self):
+        big = family_metric("a", 6)
+        small = induced_subspace(big, range(4))
+        assert small.dist == family_metric("a", 4).dist
+        assert small.labels == ("v1", "v2", "v3", "v4")
+
+    def test_order_preserved(self):
+        space = line_space([0, 1, 3])
+        swapped = induced_subspace(space, [2, 0])
+        assert swapped.d(0, 1) == F(3)
+
+    def test_errors(self):
+        space = line_space([0, 1, 3])
+        with pytest.raises(ValueError):
+            induced_subspace(space, [0, 0])
+        with pytest.raises(IndexError):
+            induced_subspace(space, [0, 9])
+
+    def test_two_point_selection(self):
+        space = family_metric("b", 5)
+        pair = induced_subspace(space, [1, 4])
+        assert pair.n == 2
+        assert pair.d(0, 1) == space.d(1, 4)
+
+    def test_full_selection_is_identity(self):
+        space = family_metric("c", 5)
+        assert induced_subspace(space, range(5)).dist == space.dist
+
+    @given(st.data())
+    def test_restriction_composes(self, data):
+        space = data.draw(metric_spaces(4, 7))
+        outer = data.draw(
+            st.lists(
+                st.sampled_from(range(space.n)),
+                min_size=2,
+                max_size=space.n,
+                unique=True,
+            )
+        )
+        inner = data.draw(
+            st.lists(
+                st.sampled_from(range(len(outer))),
+                min_size=1,
+                max_size=len(outer),
+                unique=True,
+            )
+        )
+        twice = induced_subspace(induced_subspace(space, outer), inner)
+        direct = induced_subspace(space, [outer[i] for i in inner])
+        assert twice.dist == direct.dist
 
 
 class TestExtremes:
