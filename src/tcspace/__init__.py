@@ -40,7 +40,6 @@ from .metric import (
     extremes,
     family_distance,
     family_metric,
-    induced_subspace,
     parse_metric,
     serialize_metric,
 )

@@ -2,9 +2,12 @@
 
 Exit codes: 0 for success or PASS, 1 for a mathematical FAIL (a refuted
 check), 2 for input errors.  Output is deterministic: the same inputs
-produce byte-identical reports, rationals always print as ``p/q`` (or
-``p`` for integers), and ``--json`` switches to a structured report
-carrying the same values.
+produce byte-identical reports.  Each verb builds one payload from the
+library's own values; its text lines are f-strings over that payload
+and ``--json`` dumps it, so both outputs carry the same values.
+Rationals always print as ``p/q`` (or ``p`` for integers): ``str`` of a
+``Fraction`` in the text, and ``format_rational`` as the JSON encoder's
+``default``, the one place where a rational becomes JSON text.
 """
 
 from __future__ import annotations
@@ -84,16 +87,18 @@ def _pair(chunk: str) -> tuple[int, int]:
     return int(left), int(right)
 
 
+def _edge_lines(edges) -> list[str]:
+    return [f"edge {u} {v}" for u, v in edges]
+
+
 def _cmd_validate(args) -> tuple[int, list[str], dict]:
     space = _load(parse_metric, args.metric)
     lines = [f"OK n={space.n}"]
     payload: dict = {"ok": True, "n": space.n}
     if space.n >= 2:
         lo, hi = extremes(space)
-        lines.append(f"delta {format_rational(lo)}")
-        lines.append(f"diameter {format_rational(hi)}")
-        payload["delta"] = format_rational(lo)
-        payload["diameter"] = format_rational(hi)
+        payload.update(delta=lo, diameter=hi)
+        lines += [f"delta {lo}", f"diameter {hi}"]
     return 0, lines, payload
 
 
@@ -101,33 +106,23 @@ def _cmd_tcnorm(args) -> tuple[int, list[str], dict]:
     space = _load(parse_metric, args.metric)
     problem = _load(parse_problem, args.problem)
     norm, plan = tc_norm(space, problem)
-    lines = [f"norm {format_rational(norm)}"]
-    moves = []
-    for x, y, a in plan.moves:
-        lines.append(f"move {x} -> {y} amount {format_rational(a)}")
-        moves.append({"source": x, "sink": y, "amount": format_rational(a)})
-    payload = {"norm": format_rational(norm), "plan": moves}
-    return 0, lines, payload
+    moves = [{"source": x, "sink": y, "amount": a} for x, y, a in plan.moves]
+    lines = [f"norm {norm}"]
+    lines += ["move {source} -> {sink} amount {amount}".format_map(m) for m in moves]
+    return 0, lines, {"norm": norm, "plan": moves}
 
 
 def _cmd_l1norm(args) -> tuple[int, list[str], dict]:
-    problem = _load(parse_problem, args.problem)
-    value = l1_norm(problem)
-    return 0, [f"l1 {format_rational(value)}"], {"l1": format_rational(value)}
+    value = l1_norm(_load(parse_problem, args.problem))
+    return 0, [f"l1 {value}"], {"l1": value}
 
 
 def _cmd_matching(args) -> tuple[int, list[str], dict]:
     space = _load(parse_metric, args.metric)
     vertices = _comma_list("--vertices", args.vertices, _vertex)
     result = min_weight_perfect_matching(space, vertices)
-    lines = [f"weight {format_rational(result.weight)}"]
-    for u, v in result.edges:
-        lines.append(f"edge {u} {v}")
-    payload = {
-        "weight": format_rational(result.weight),
-        "edges": [[u, v] for u, v in result.edges],
-    }
-    return 0, lines, payload
+    lines = [f"weight {result.weight}", *_edge_lines(result.edges)]
+    return 0, lines, {"weight": result.weight, "edges": result.edges}
 
 
 def _cmd_nested_check(args) -> tuple[int, list[str], dict]:
@@ -136,21 +131,20 @@ def _cmd_nested_check(args) -> tuple[int, list[str], dict]:
     result = nested_matching_check(space, pairs)
     if result.passed:
         lines = [f"PASS {result.depth} prefixes"]
-        payload = {"result": "PASS", "depth": result.depth}
-        return 0, lines, payload
+        return 0, lines, {"result": "PASS", "depth": result.depth}
+    witness = result.witness
     lines = [
         f"FAIL at n={result.depth}",
-        f"prescribed weight {format_rational(result.prescribed_weight)}",
-        f"witness weight {format_rational(result.witness.weight)}",
+        f"prescribed weight {result.prescribed_weight}",
+        f"witness weight {witness.weight}",
+        *_edge_lines(witness.edges),
     ]
-    for u, v in result.witness.edges:
-        lines.append(f"edge {u} {v}")
     payload = {
         "result": "FAIL",
         "depth": result.depth,
-        "prescribed_weight": format_rational(result.prescribed_weight),
-        "witness_weight": format_rational(result.witness.weight),
-        "witness_edges": [[u, v] for u, v in result.witness.edges],
+        "prescribed_weight": result.prescribed_weight,
+        "witness_weight": witness.weight,
+        "witness_edges": witness.edges,
     }
     return 1, lines, payload
 
@@ -159,98 +153,66 @@ def _cmd_quotient(args) -> tuple[int, list[str], dict]:
     space = _load(parse_metric, args.metric)
     vector = _load(parse_edge_vector, args.edges, space.n)
     value, representative = quotient_norm(space, vector)
-    lines = [f"norm {format_rational(value)}"]
-    entries = []
-    for (i, j), v in representative.entries:
-        lines.append(f"rep {i} {j} {format_rational(v)}")
-        entries.append({"edge": [i, j], "value": format_rational(v)})
-    payload = {"norm": format_rational(value), "representative": entries}
-    return 0, lines, payload
+    entries = [{"edge": e, "value": v} for e, v in representative.entries]
+    lines = [f"norm {value}"]
+    lines += ["rep {} {} {}".format(*r["edge"], r["value"]) for r in entries]
+    return 0, lines, {"norm": value, "representative": entries}
 
 
 def _cmd_dual(args) -> tuple[int, list[str], dict]:
     space = _load(parse_metric, args.metric)
     problem = _load(parse_problem, args.problem)
     h, value = dual_optimal(space, problem, base=args.base)
-    lines = [f"value {format_rational(value)}"]
-    for v, a in enumerate(h.values):
-        lines.append(f"h {v} {format_rational(a)}")
-    payload = {
-        "value": format_rational(value),
-        "base": args.base,
-        "h": [format_rational(a) for a in h.values],
-    }
-    return 0, lines, payload
+    lines = [f"value {value}"] + [f"h {v} {a}" for v, a in enumerate(h.values)]
+    return 0, lines, {"value": value, "base": args.base, "h": h.values}
 
 
 def _cmd_l1check(args) -> tuple[int, list[str], dict]:
     space = _load(parse_metric, args.metric)
     pairs = _comma_list("--pairs", args.pairs, _pair, PairSequence)
     coeffs = None
-    if args.coeffs:
+    if args.coeffs is not None:
         coeffs = _comma_list("--coeffs", args.coeffs, parse_rational)
     report = sign_pattern_isometry_check(space, pairs, coeffs)
+    expected = report.expected
     if report.passed:
-        lines = [
-            f"PASS {report.patterns_checked} patterns",
-            f"norm {format_rational(report.expected)} in every pattern",
-        ]
-        payload = {
-            "result": "PASS",
-            "patterns": report.patterns_checked,
-            "expected": format_rational(report.expected),
-        }
+        patterns = report.patterns_checked
+        lines = [f"PASS {patterns} patterns", f"norm {expected} in every pattern"]
+        payload = {"result": "PASS", "patterns": patterns, "expected": expected}
         return 0, lines, payload
-    rendered = "".join("+" if s > 0 else "-" for s in report.pattern)
-    lines = [
-        f"FAIL pattern {rendered}",
-        f"achieved {format_rational(report.achieved)}"
-        f" expected {format_rational(report.expected)}",
-    ]
+    pattern = "".join("+" if s > 0 else "-" for s in report.pattern)
+    achieved = report.achieved
+    lines = [f"FAIL pattern {pattern}", f"achieved {achieved} expected {expected}"]
     payload = {
         "result": "FAIL",
-        "pattern": rendered,
-        "achieved": format_rational(report.achieved),
-        "expected": format_rational(report.expected),
+        "pattern": pattern,
+        "achieved": achieved,
+        "expected": expected,
     }
     return 1, lines, payload
 
 
 def _cmd_family(args) -> tuple[int, list[str], dict]:
     space = family_metric(args.family, args.n)
-    header = f"# family {args.family} n={args.n} points " + " ".join(space.labels)
     body = serialize_metric(space)
-    lines = [header] + body.splitlines()
-    payload = {
-        "family": args.family,
-        "n": args.n,
-        "labels": list(space.labels),
-        "metric": body,
-    }
-    return 0, lines, payload
+    header = f"# family {args.family} n={args.n} points " + " ".join(space.labels)
+    payload = dict(family=args.family, n=args.n, labels=space.labels, metric=body)
+    return 0, [header, *body.splitlines()], payload
 
 
 def _cmd_quad_check(args) -> tuple[int, list[str], dict]:
     report = quadruple_inequality_check(args.family, args.max)
-    if report.passed:
-        lines = [f"PASS {report.quadruples_checked} quadruples"]
-        payload = {
-            "result": "PASS",
-            "family": report.family,
-            "max_index": report.max_index,
-            "quadruples": report.quadruples_checked,
-        }
-        return 0, lines, payload
-    lines = [f"FAIL {len(report.violations)} violations"]
-    for q in report.violations:
-        lines.append("violation " + " ".join(str(x) for x in q))
     payload = {
-        "result": "FAIL",
+        "result": "PASS" if report.passed else "FAIL",
         "family": report.family,
         "max_index": report.max_index,
         "quadruples": report.quadruples_checked,
-        "violations": [list(q) for q in report.violations],
     }
+    if report.passed:
+        return 0, [f"PASS {report.quadruples_checked} quadruples"], payload
+    payload["violations"] = report.violations
+    lines = [f"FAIL {len(report.violations)} violations"]
+    lines += ["violation " + " ".join(map(str, q)) for q in report.violations]
     return 1, lines, payload
 
 
@@ -274,9 +236,7 @@ def _cmd_selftest(args) -> tuple[int, list[str], dict]:
         good = norm == brute == qvalue == dvalue
         ok = ok and good
         verdict = "ok" if good else "MISMATCH"
-        lines.append(
-            f"norm {t:02d} n={n} value {format_rational(norm)} {verdict}"
-        )
+        lines.append(f"norm {t:02d} n={n} value {norm} {verdict}")
         checks.append({"check": f"norm {t:02d}", "ok": good})
     for t in range(_SELFTEST_MATCHING_INSTANCES):
         n = rng.randrange(4, 9)
@@ -291,8 +251,7 @@ def _cmd_selftest(args) -> tuple[int, list[str], dict]:
         ok = ok and good
         verdict = "ok" if good else "MISMATCH"
         lines.append(
-            f"matching {t:02d} size={len(vertices)}"
-            f" weight {format_rational(dp.weight)} {verdict}"
+            f"matching {t:02d} size={len(vertices)} weight {dp.weight} {verdict}"
         )
         checks.append({"check": f"matching {t:02d}", "ok": good})
     lines.append("SELFTEST " + ("PASS" if ok else "FAIL"))
@@ -371,7 +330,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        output = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, default=format_rational)
+        output = text + "\n"
     else:
         output = "".join(line + "\n" for line in lines)
     if args.out:

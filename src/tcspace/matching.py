@@ -376,11 +376,13 @@ def nested_matching_check(
 ) -> NestedCheckResult:
     """Is every prefix of ``pairs`` a minimum-weight perfect matching?
 
-    Prefixes are scanned in order and equal weights pass.  Prefix k runs
-    the blossom kernel on the ``int_dist`` rows of its 2k endpoints, so a
-    passing check never calls ``min_weight_perfect_matching``.  A failure
-    carries the smallest failing prefix and a strictly lighter matching
-    of the same vertex set.
+    Prefixes are scanned in order and equal weights pass.  One pair is
+    the only matching of its two points, so prefix 1 always passes; each
+    prefix k >= 2 runs the blossom kernel on the ``int_dist`` rows of its
+    2k endpoints, so a passing check never calls
+    ``min_weight_perfect_matching``.  A failure carries the smallest
+    failing prefix and a strictly lighter matching of the same vertex
+    set.
     """
     if not pairs.pairs:
         raise ValueError("need at least one pair")
@@ -389,12 +391,12 @@ def nested_matching_check(
         raise ValueError(f"pair sequence too long (limit {DP_VERTEX_LIMIT // 2})")
     order = [p for pair in pairs.pairs for p in pair]
     rows = [[space.int_dist[a][b] for b in order] for a in order]
-    prescribed = 0
-    for k in range(1, len(pairs.pairs) + 1):
+    prescribed = rows[0][1]
+    for k in range(2, len(pairs.pairs) + 1):
         span = 2 * k
         prescribed += rows[span - 2][span - 1]
         if _blossom([row[:span] for row in rows[:span]])[1] < prescribed:
             witness = min_weight_perfect_matching(space, order[:span])
-            weight = prescribed_prefix_weight(space, pairs, k)
+            weight = Fraction(prescribed, space.scale)
             return NestedCheckResult(False, k, weight, witness)
     return NestedCheckResult(True, len(pairs.pairs))

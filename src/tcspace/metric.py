@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .rationals import (
     ParseError,
@@ -205,18 +205,6 @@ def family_metric(tag: str, n: int) -> FiniteMetricSpace:
             d[i][j] = d[j][i] = q
     labels = tuple(f"v{i + 1}" for i in range(n))
     return FiniteMetricSpace(tuple(tuple(row) for row in d), labels)
-
-
-def induced_subspace(
-    space: FiniteMetricSpace, indices: Sequence[int]
-) -> FiniteMetricSpace:
-    """Restriction of the metric to ``indices``, order preserved."""
-    idx = [check_index(i, space.n) for i in indices]
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate index in subspace selection")
-    d = tuple(tuple(space.dist[u][v] for v in idx) for u in idx)
-    labels = None if space.labels is None else tuple(space.labels[i] for i in idx)
-    return FiniteMetricSpace(d, labels)
 
 
 def extremes(space: FiniteMetricSpace) -> tuple[Fraction, Fraction]:

@@ -101,6 +101,8 @@ def lift_plan(plan: TransportPlan, n: int) -> EdgeVector:
     A move ``(x, y, a)`` contributes ``-a`` on edge ``(min, max)`` when
     x < y and ``+a`` when x > y.
     """
+    if type(n) is not int:  # an int n keeps the endpoint-range messages
+        _check_point_count(n)
     entries = []
     for x, y, a in plan.moves:
         check_index(x, n, "plan endpoint")
@@ -217,6 +219,8 @@ def cut_decomposition(f: EdgeVector) -> tuple[EdgeVector, EdgeVector]:
 
 def parse_edge_vector(text: str, n: int) -> EdgeVector:
     """Read the ``i j value`` line format; repeated edges are summed."""
+    if type(n) is not int:  # an int n keeps the index-range messages
+        _check_point_count(n)
     entries = []
     for lineno, (i, j), val in indexed_lines(text, 2, n):
         if not i < j:

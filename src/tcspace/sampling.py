@@ -10,9 +10,18 @@ import random
 from fractions import Fraction
 
 from .metric import FiniteMetricSpace
+from .rationals import check_index
 from .transport import TransportationProblem
 
 _ZERO = Fraction(0)
+
+
+def _check_size(n) -> None:
+    # a bool is an int below the minimum, so the range check refuses it
+    if not isinstance(n, int):
+        check_index(n, None, "point count")
+    if n < 2:
+        raise ValueError("need n >= 2")
 
 
 def random_metric_space(rng: random.Random, n: int) -> FiniteMetricSpace:
@@ -21,8 +30,7 @@ def random_metric_space(rng: random.Random, n: int) -> FiniteMetricSpace:
     Any symmetric table with values in [1, 2] satisfies every triangle
     inequality, so this samples freely in that band.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_size(n)
     d = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -34,8 +42,7 @@ def random_metric_space(rng: random.Random, n: int) -> FiniteMetricSpace:
 
 def random_line_space(rng: random.Random, n: int) -> FiniteMetricSpace:
     """Distinct rational points on a line with their absolute-value metric."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_size(n)
     coords = [_ZERO]
     for _ in range(n - 1):
         coords.append(
@@ -51,6 +58,8 @@ def random_zero_sum_problem(
     rng: random.Random, space: FiniteMetricSpace, max_support: int
 ) -> TransportationProblem:
     """A random nonzero problem with 2..max_support support points."""
+    if not isinstance(max_support, int):
+        check_index(max_support, None, "max_support")
     cap = min(max_support, space.n)
     if cap < 2:
         raise ValueError("need room for at least two support points")

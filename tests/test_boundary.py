@@ -4,6 +4,7 @@ Exact values, plain int indices, the shared sparse-vector algebra, the
 one ``index value`` line reader and the size budgets.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from tcspace import (
     family_distance,
     family_metric,
     format_rational,
-    induced_subspace,
+    lift_plan,
     min_cost_flow,
     min_weight_perfect_matching,
     parse_edge_vector,
@@ -38,6 +39,11 @@ from tcspace.duality import DUAL_POINT_LIMIT
 from tcspace.metric import FAMILY_POINT_LIMIT
 from tcspace.quotient import QUOTIENT_POINT_LIMIT
 from tcspace.rationals import check_index
+from tcspace.sampling import (
+    random_line_space,
+    random_metric_space,
+    random_zero_sum_problem,
+)
 
 from helpers import line_space
 
@@ -99,12 +105,6 @@ class TestIndices:
         for edge in ((False, True), (-1, 2), (0.5, 2), (0, F(2))):
             with pytest.raises(ValueError, match="matching endpoint"):
                 Matching((edge,), 1)
-
-    def test_induced_subspace_refuses_non_int_indices(self):
-        with pytest.raises(ValueError, match="point index"):
-            induced_subspace(LINE, [0.7, 2.2])
-        with pytest.raises(ValueError, match="point index"):
-            induced_subspace(LINE, [0, True])
 
     def test_plan_moves_refuse_non_int_endpoints(self):
         for bad in (True, 0.5, -1):
@@ -201,6 +201,41 @@ class TestIndices:
         for bad in (True, 1.0, F(1), "1"):
             with pytest.raises(ValueError, match="point index must be"):
                 check_index(bad, 3)
+
+
+# a non-int size is refused before any comparison is made with it
+MOVE = TransportPlan(((0, 1, F(1)),), F(1))
+SIZE_SLIPS = {
+    "random_metric_space 2.0": lambda rng: random_metric_space(rng, 2.0),
+    "random_metric_space '3'": lambda rng: random_metric_space(rng, "3"),
+    "random_line_space 2.0": lambda rng: random_line_space(rng, 2.0),
+    "random_zero_sum_problem 2.0": lambda rng: random_zero_sum_problem(
+        rng, FAR_PAIRS, 2.0
+    ),
+    "lift_plan True": lambda rng: lift_plan(MOVE, True),
+    "parse_edge_vector True": lambda rng: parse_edge_vector("0 1 1\n", True),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_SLIPS.values(), ids=SIZE_SLIPS)
+def test_non_int_sizes_are_refused(call):
+    with pytest.raises(ValueError, match="(point count|max_support) must be"):
+        call(random.Random(0))
+
+
+def test_int_sizes_keep_their_messages():
+    rng = random.Random(0)
+    for n in (True, 1, -1):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            random_metric_space(rng, n)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            random_line_space(rng, n)
+        with pytest.raises(ValueError, match="room for at least two"):
+            random_zero_sum_problem(rng, FAR_PAIRS, n)
+    with pytest.raises(IndexError, match="plan endpoint 1 out of range for n=1"):
+        lift_plan(MOVE, 1)
+    with pytest.raises(ParseError, match="index 1 out of range for n=1"):
+        parse_edge_vector("0 1 1\n", 1)
 
 
 class TestSparseVector:

@@ -1,11 +1,25 @@
 """End-to-end checks of the command line surface."""
 
 import json
+import random
 
 import pytest
 
-from tcspace import duality, l1embed
+from tcspace import (
+    EdgeVector,
+    duality,
+    format_edge_vector,
+    format_problem,
+    l1embed,
+    parse_rational,
+    serialize_metric,
+)
 from tcspace.cli import run
+from tcspace.sampling import (
+    random_line_space,
+    random_metric_space,
+    random_zero_sum_problem,
+)
 from tcspace.solvers import UnboundedError
 
 LINE_METRIC = "3\n1 3\n2\n"
@@ -228,3 +242,129 @@ class TestHarness:
         first = capsys.readouterr().out
         run(argv)
         assert capsys.readouterr().out == first
+
+
+# keys whose values (or list items) are rationals in a ``--json`` payload
+RATIONAL_KEYS = {
+    "norm",
+    "amount",
+    "value",
+    "h",
+    "weight",
+    "prescribed_weight",
+    "witness_weight",
+    "achieved",
+    "expected",
+}
+
+
+def assert_rationals_are_strings(payload):
+    if isinstance(payload, list):
+        for item in payload:
+            assert_rationals_are_strings(item)
+    elif isinstance(payload, dict):
+        for key, value in payload.items():
+            if key not in RATIONAL_KEYS:
+                assert_rationals_are_strings(value)
+                continue
+            for q in value if isinstance(value, list) else [value]:
+                assert type(q) is str
+                assert str(parse_rational(q)) == q
+
+
+def text_values(argv, text):
+    """The values of a text report, shaped like the ``--json`` payload."""
+    verb, words = argv[0], [line.split() for line in text.splitlines()]
+    head, rest = words[0], words[1:]
+    edges = [[int(w[1]), int(w[2])] for w in rest if w[0] == "edge"]
+    if verb == "tcnorm":
+        plan = [{"source": int(w[1]), "sink": int(w[3]), "amount": w[5]} for w in rest]
+        return {"norm": head[1], "plan": plan}
+    if verb == "dual":
+        assert [int(w[1]) for w in rest] == list(range(len(rest)))
+        base = int(argv[argv.index("--base") + 1])
+        return {"value": head[1], "base": base, "h": [w[2] for w in rest]}
+    if verb == "quotient":
+        rep = [{"edge": [int(w[1]), int(w[2])], "value": w[3]} for w in rest]
+        return {"norm": head[1], "representative": rep}
+    if verb == "matching":
+        return {"weight": head[1], "edges": edges}
+    if verb == "nested-check" and head[0] == "PASS":
+        return {"result": "PASS", "depth": int(head[1])}
+    if verb == "nested-check":
+        return {
+            "result": "FAIL",
+            "depth": int(head[2].removeprefix("n=")),
+            "prescribed_weight": rest[0][2],
+            "witness_weight": rest[1][2],
+            "witness_edges": edges,
+        }
+    if head[0] == "PASS":
+        return {"result": "PASS", "patterns": int(head[1]), "expected": rest[0][1]}
+    return {
+        "result": "FAIL",
+        "pattern": head[2],
+        "achieved": rest[0][1],
+        "expected": rest[0][3],
+    }
+
+
+def agreement_cases(tmp_path):
+    rng = random.Random(20261021)
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    one, zero = write("one.metric", "1\n"), write("zero.problem", "")
+    cases = [
+        ["tcnorm", one, zero],
+        ["dual", one, zero, "--base", "0"],
+        ["quotient", one, write("zero.edges", "")],
+    ]
+    for t in range(16):
+        n = rng.randrange(4, 9)
+        space = (random_line_space if t % 2 else random_metric_space)(rng, n)
+        metric = write(f"m{t}.metric", serialize_metric(space))
+        f = random_zero_sum_problem(rng, space, n)
+        problem = write(f"f{t}.problem", format_problem(f))
+        g = EdgeVector.from_values(
+            n, {tuple(sorted(rng.sample(range(n), 2))): rng.randrange(-4, 5)}
+        )
+        edges = write(f"g{t}.edges", format_edge_vector(g))
+        a, b, c, d = rng.sample(range(n), 4)
+        pairs, vertices = f"{a}:{b},{c}:{d}", f"{a},{b},{c},{d}"
+        cases += [
+            ["tcnorm", metric, problem],
+            ["tcnorm", metric, zero],
+            ["dual", metric, problem, "--base", str(rng.randrange(n))],
+            ["quotient", metric, edges],
+            ["matching", metric, "--vertices", vertices],
+            ["nested-check", metric, "--pairs", pairs],
+            ["l1check", metric, "--pairs", pairs],
+            ["l1check", metric, "--pairs", pairs, "--coeffs", "1/2,3"],
+        ]
+        if t % 2:
+            # consecutive pairs on a line: both checks pass
+            cases.append(["nested-check", metric, "--pairs", "0:1,2:3"])
+            cases.append(["l1check", metric, "--pairs", "0:1,2:3"])
+    return cases
+
+
+def test_text_and_json_carry_the_same_values(tmp_path, capsys):
+    verdicts = set()
+    for argv in agreement_cases(tmp_path):
+        code = run(argv)
+        text = capsys.readouterr().out
+        assert run(argv + ["--json"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert text_values(argv, text) == payload
+        assert_rationals_are_strings(payload)
+        if "result" in payload:
+            verdicts.add((argv[0], payload["result"], code))
+    assert verdicts == {
+        (verb, result, code)
+        for verb in ("nested-check", "l1check")
+        for result, code in (("PASS", 0), ("FAIL", 1))
+    }

@@ -802,6 +802,10 @@ INPUT_ERRORS = [
         "error: --coeffs: not a rational token: '0.5'\n",
     ),
     (
+        ["l1check", "a4.metric", "--pairs", "0:1,2:3", "--coeffs", ""],
+        "error: --coeffs: not a rational token: ''\n",
+    ),
+    (
         ["l1check", "far.metric", "--pairs", "0:1", "--coeffs", "1,2"],
         "error: coefficient count must match pair count\n",
     ),
