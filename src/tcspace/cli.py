@@ -58,10 +58,11 @@ _SELFTEST_MATCHING_INSTANCES = 12
 
 
 def _load(parse, path: str, *args):
-    """``parse`` the file at ``path``; data errors are prefixed with the path."""
+    """``parse`` the file at ``path``; data and decoding errors are prefixed
+    with the path."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"), *args)
-    except (ParseError, NotAMetricError, NotZeroSumError) as exc:
+    except (ParseError, NotAMetricError, NotZeroSumError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -326,17 +327,17 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         code, lines, payload = args.handler(args)
+        if args.json:
+            lines = [
+                json.dumps(payload, indent=2, sort_keys=True, default=format_rational)
+            ]
+        output = "".join(line + "\n" for line in lines)
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=format_rational)
-        output = text + "\n"
-    else:
-        output = "".join(line + "\n" for line in lines)
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(output)
     return code
 

@@ -93,7 +93,8 @@ def dual_optimal(
             d = space.dist[u][w]
             constraints.append((row, LE, d))
             constraints.append(({j: -s for j, s in row.items()}, LE, d))
-    value, x = simplex_solve(LinearProgram(objective, constraints))
+    lp = LinearProgram(objective, constraints, free=range(len(var_of)))
+    value, x = simplex_solve(lp)
     values = [_ZERO] * n
     for v, idx in var_of.items():
         values[v] = x[idx]

@@ -184,8 +184,8 @@ def quotient_norm(
             row_plus[col] = ce
         constraints.append((row_minus, GE, fe))
         constraints.append((row_plus, GE, -fe))
-    bounds = [(Fraction(0), None)] * ne + [(None, None)] * nc
-    value, x = simplex_solve(LinearProgram(objective, constraints, bounds))
+    lp = LinearProgram(objective, constraints, free=range(ne, ne + nc))
+    value, x = simplex_solve(lp)
     cycle_terms = tuple(
         (e, x[ne + k] * c)
         for k, chi in enumerate(basis)

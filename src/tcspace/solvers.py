@@ -13,13 +13,13 @@ to ``int`` by the lcm of the denominators and eliminates with
 ``row*p - f*prow`` and one gcd division per updated row; a row stands
 for itself divided by its pivot entry, so the simplex takes exactly the
 pivots of a dense ``Fraction`` tableau, and divides back to
-``Fraction`` once, at the end.  Each LP variable is one recipe, an
-offset plus signed nonnegative columns.  The flow kernel is
-uncapacitated and integer from end to end: plain ``int`` supplies and
-costs in, ``int`` flows and total out, every residual capacity an
-``int``; its caller scales rational data and divides back.  Every tie
-is broken by lowest index, so results are deterministic, and no step
-ever rounds.
+``Fraction`` once, at the end.  Each LP variable is nonnegative, one
+standard-form column, or free, two columns ``y+ - y-``.  The flow
+kernel is uncapacitated and integer from end to end: plain ``int``
+supplies and costs in, ``int`` flows and total out, every residual
+capacity an ``int``; its caller scales rational data and divides back.
+Every tie is broken by lowest index, so results are deterministic, and
+no step ever rounds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .rationals import check_index, exact_rational
 
@@ -40,8 +40,6 @@ _RELATIONS = (LE, EQ, GE)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-Bound = Optional[Fraction]
-
 
 class InfeasibleError(Exception):
     """The constraint system has no feasible point."""
@@ -52,23 +50,21 @@ class UnboundedError(Exception):
 
 
 class LinearProgram:
-    """A minimization LP: objective, rows ``(coeffs, relation, rhs)``, bounds.
+    """A minimization LP: objective, rows ``(coeffs, relation, rhs)``, free variables.
 
-    A row's ``coeffs`` is a mapping ``{column: value}`` or a dense
-    sequence as long as the objective; either way it is stored as a dict
-    of its nonzero entries.  Bounds are per-variable ``(lower, upper)``
-    pairs with ``None`` meaning unbounded on that side; omitting
-    ``bounds`` leaves every variable free.  The description is not
-    mutated after construction.
+    A row's ``coeffs`` is a mapping ``{column: value}``, stored as a dict
+    of its nonzero entries.  The variables whose indices are in ``free``
+    are free, and every other variable is nonnegative.  The description
+    is not mutated after construction.
     """
 
-    __slots__ = ("objective", "constraints", "bounds")
+    __slots__ = ("objective", "constraints", "free")
 
     def __init__(
         self,
         objective: Iterable,
         constraints: Iterable[tuple],
-        bounds: Sequence[tuple[Bound, Bound]] | None = None,
+        free: Iterable[int] = (),
     ):
         self.objective: tuple[Fraction, ...] = tuple(
             exact_rational(c) for c in objective
@@ -76,32 +72,17 @@ class LinearProgram:
         nvars = len(self.objective)
         rows = []
         for coeffs, relation, rhs in constraints:
-            if isinstance(coeffs, Mapping):
-                entries = [
-                    (check_index(j, nvars, "constraint column"), exact_rational(a))
-                    for j, a in coeffs.items()
-                ]
-            else:
-                entries = list(enumerate(map(exact_rational, coeffs)))
-                if len(entries) != nvars:
-                    raise ValueError(
-                        "constraint row length differs from objective length"
-                    )
+            entries = [
+                (check_index(j, nvars, "constraint column"), exact_rational(a))
+                for j, a in coeffs.items()
+            ]
             if relation not in _RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
             row = {j: a for j, a in entries if a}
             rows.append((row, relation, exact_rational(rhs)))
         self.constraints: tuple = tuple(rows)
-        if bounds is None:
-            bounds = [(None, None)] * nvars
-        if len(bounds) != nvars:
-            raise ValueError("bounds length differs from objective length")
-        self.bounds: tuple = tuple(
-            (
-                None if lo is None else exact_rational(lo),
-                None if hi is None else exact_rational(hi),
-            )
-            for lo, hi in bounds
+        self.free: frozenset[int] = frozenset(
+            check_index(j, nvars, "free variable") for j in free
         )
 
 
@@ -195,50 +176,33 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 
     Raises ``InfeasibleError`` / ``UnboundedError`` accordingly.
     """
-    # Rewrite each variable onto one or two nonnegative columns.  Its
-    # recipe (offset, ((column, sign), ...)) reads x = offset + sum of
-    # sign * y_column: x = lo + y, x = hi - y, or a free x = y+ - y-.
-    recipes: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
+    # Each variable becomes the nonnegative column first[v], or, when it
+    # is free, the two columns first[v] and first[v] + 1 of x = y+ - y-.
+    free = lp.free
+    first: list[int] = []
     ncols = 0
-    box_rows: list[tuple[int, Fraction]] = []  # y_col <= width for doubly bounded
-    for lo, hi in lp.bounds:
-        if lo is not None:
-            recipe = (lo, ((ncols, 1),))
-            if hi is not None:
-                box_rows.append((ncols, hi - lo))
-        elif hi is not None:
-            recipe = (hi, ((ncols, -1),))
-        else:
-            recipe = (_ZERO, ((ncols, 1), (ncols + 1, -1)))
-        recipes.append(recipe)
-        ncols += len(recipe[1])
+    for v in range(len(lp.objective)):
+        first.append(ncols)
+        ncols += 2 if v in free else 1
 
     # Standard-form rows are sparse: column -> nonzero coefficient.
-    def expand(terms: Iterable) -> tuple[dict[int, Fraction], Fraction]:
+    def expand(terms: Iterable) -> dict[int, Fraction]:
         row: dict[int, Fraction] = {}
-        shift = _ZERO
         for v, a in terms:
             if a:
-                offset, columns = recipes[v]
-                if offset:
-                    shift += a * offset
-                for col, sign in columns:
-                    row[col] = a if sign > 0 else -a
-        return row, shift
+                row[first[v]] = a
+                if v in free:
+                    row[first[v] + 1] = -a
+        return row
 
     rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for coeffs, relation, rhs in lp.constraints:
-        row, shift = expand(coeffs.items())
-        b = rhs - shift
+    for coeffs, relation, b in lp.constraints:
+        row = expand(coeffs.items())
         if b < 0:
             row = {j: -a for j, a in row.items()}
             b = -b
             relation = {LE: GE, GE: LE, EQ: EQ}[relation]
         rows.append((row, relation, b))
-    for col, width in box_rows:
-        if width < 0:
-            raise InfeasibleError("contradictory variable bounds")
-        rows.append(({col: _ONE}, LE, width))
 
     # Slack columns follow the structural ones in row order, and the
     # artificial columns are exactly those from ``structural`` on.  A
@@ -357,17 +321,13 @@ def simplex_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         width = structural
         rows_of = column_index()
 
-    std_cost, _ = expand(enumerate(lp.objective))
-    add_cost_row(std_cost)
+    add_cost_row(expand(enumerate(lp.objective)))
     run()
 
     y = [_ZERO] * width
     for row, bj in zip(tableau, basis):
         y[bj] = Fraction(row.get(_RHS, 0), row[bj])
-    x = [
-        offset + sum(y[col] if sign > 0 else -y[col] for col, sign in columns)
-        for offset, columns in recipes
-    ]
+    x = [y[c] - y[c + 1] if v in free else y[c] for v, c in enumerate(first)]
     value = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)
     return value, x
 

@@ -168,7 +168,6 @@ def tc_brute_force(space: FiniteMetricSpace, f: TransportationProblem) -> Fracti
     if not pos:
         return _ZERO
     np_, nn_ = len(pos), len(neg)
-    nvars = np_ * nn_
     objective = [
         space.dist[x][y] for x, _ in pos for y, _ in neg
     ]
@@ -177,8 +176,7 @@ def tc_brute_force(space: FiniteMetricSpace, f: TransportationProblem) -> Fracti
         constraints.append(({i * nn_ + j: 1 for j in range(nn_)}, EQ, a))
     for j, (_, b) in enumerate(neg):
         constraints.append(({i * nn_ + j: 1 for i in range(np_)}, EQ, b))
-    bounds = [(Fraction(0), None)] * nvars
-    value, _ = simplex_solve(LinearProgram(objective, constraints, bounds))
+    value, _ = simplex_solve(LinearProgram(objective, constraints))
     return value
 
 

@@ -245,58 +245,36 @@ def reference_simplex(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     nvars = len(lp.objective)
 
     # Rewrite each variable onto one or two nonnegative columns.
-    # recipe: ("lo", col, lo) -> x = lo + y
-    #         ("hi", col, hi) -> x = hi - y
+    # recipe: ("nonneg", col) -> x = y
     #         ("split", cp, cm) -> x = y+ - y-
     recipes: list[tuple] = []
     ncols = 0
-    box_rows: list[tuple[int, Fraction]] = []  # y_col <= width for doubly bounded
-    for lo, hi in lp.bounds:
-        if lo is not None:
-            recipes.append(("lo", ncols, lo))
-            if hi is not None:
-                box_rows.append((ncols, hi - lo))
-            ncols += 1
-        elif hi is not None:
-            recipes.append(("hi", ncols, hi))
-            ncols += 1
-        else:
+    for v in range(nvars):
+        if v in lp.free:
             recipes.append(("split", ncols, ncols + 1))
             ncols += 2
+        else:
+            recipes.append(("nonneg", ncols))
+            ncols += 1
 
-    def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
+    def expand(coeffs: Sequence[Fraction]) -> list[Fraction]:
         row = [_ZERO] * ncols
-        shift = _ZERO
         for a, recipe in zip(coeffs, recipes):
             if not a:
                 continue
-            kind = recipe[0]
-            if kind == "lo":
-                row[recipe[1]] = a
-                shift += a * recipe[2]
-            elif kind == "hi":
-                row[recipe[1]] = -a
-                shift += a * recipe[2]
-            else:
-                row[recipe[1]] = a
+            row[recipe[1]] = a
+            if recipe[0] == "split":
                 row[recipe[2]] = -a
-        return row, shift
+        return row
 
     rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for coeffs, relation, rhs in lp.constraints:
-        row, shift = expand(dense_row(coeffs, nvars))
-        b = rhs - shift
+    for coeffs, relation, b in lp.constraints:
+        row = expand(dense_row(coeffs, nvars))
         if b < 0:
             row = [-a for a in row]
             b = -b
             relation = {LE: GE, GE: LE, EQ: EQ}[relation]
         rows.append((row, relation, b))
-    for col, width in box_rows:
-        if width < 0:
-            raise InfeasibleError("contradictory variable bounds")
-        row = [_ZERO] * ncols
-        row[col] = _ONE
-        rows.append((row, LE, width))
 
     m = len(rows)
     slack_of: dict[int, int] = {}
@@ -403,18 +381,7 @@ def reference_simplex(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         tableau = [row[:structural] + row[-1:] for row in tableau]
         width = structural
 
-    std_cost = [_ZERO] * width
-    for c_j, recipe in zip(lp.objective, recipes):
-        if not c_j:
-            continue
-        kind = recipe[0]
-        if kind == "lo":
-            std_cost[recipe[1]] += c_j
-        elif kind == "hi":
-            std_cost[recipe[1]] -= c_j
-        else:
-            std_cost[recipe[1]] += c_j
-            std_cost[recipe[2]] -= c_j
+    std_cost = expand(lp.objective) + [_ZERO] * (width - ncols)
     cost = reduce_cost_row(std_cost)
     run(cost, width)
 
@@ -423,11 +390,8 @@ def reference_simplex(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         y[bj] = tableau[i][-1]
     x: list[Fraction] = []
     for recipe in recipes:
-        kind = recipe[0]
-        if kind == "lo":
-            x.append(recipe[2] + y[recipe[1]])
-        elif kind == "hi":
-            x.append(recipe[2] - y[recipe[1]])
+        if recipe[0] == "nonneg":
+            x.append(y[recipe[1]])
         else:
             x.append(y[recipe[1]] - y[recipe[2]])
     value = sum((c * v for c, v in zip(lp.objective, x)), _ZERO)

@@ -11,6 +11,7 @@ import pytest
 
 from tcspace import (
     EdgeVector,
+    LinearProgram,
     LipFunction,
     Matching,
     PairSequence,
@@ -184,6 +185,20 @@ class TestIndices:
             with pytest.raises(ValueError, match="point count must be an int >= 1"):
                 all_edges(bad)
         assert EdgeVector(1, ()).is_zero and cycle_basis(3) and all_edges(2)
+
+    @pytest.mark.parametrize(
+        "index, error",
+        [
+            (True, ValueError),
+            (1.0, ValueError),
+            ("1", ValueError),
+            (-1, IndexError),
+            (2, IndexError),
+        ],
+    )
+    def test_free_variables_are_checked_indices(self, index, error):
+        with pytest.raises(error, match="free variable"):
+            LinearProgram([F(1), F(1)], [], free=[index])
 
     def test_dual_refuses_a_bool_base(self):
         with pytest.raises(ValueError, match="base point"):

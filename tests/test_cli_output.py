@@ -884,6 +884,38 @@ def test_input_error_message(data_dir, capsys, argv, stderr):
     assert captured.err.replace(str(data_dir), "DIR") == stderr
 
 
+def test_non_utf8_input_names_its_file(data_dir, capsys):
+    (data_dir / "latin1.problem").write_bytes(b"\xff 1\n")
+    assert run(resolve(data_dir, ["tcnorm", "line.metric", "latin1.problem"])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.replace(str(data_dir), "DIR") == (
+        "error: DIR/latin1.problem: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+
+
+def test_unwritable_out_is_an_input_error(data_dir, capsys):
+    argv = resolve(data_dir, ["validate", "line.metric"])
+    assert run(argv + ["--out", str(data_dir / "missing" / "report")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.replace(str(data_dir), "DIR") == (
+        "error: [Errno 2] No such file or directory: 'DIR/missing/report'\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_fail_verdict_written_with_out_exits_1(data_dir, capsys, fmt):
+    argv = ["nested-check", "a4.metric", "--pairs", "0:1,2:3"] + fmt
+    pinned = {tuple(argv): (code, stdout) for argv, code, stdout in VERB_OUTPUT}
+    report = data_dir / "report"
+    assert run(resolve(data_dir, argv) + ["--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+    assert (1, report.read_text(encoding="utf-8")) == pinned[tuple(argv)]
+
+
 def test_one_parser_serves_every_call(data_dir, capsys):
     # the parser is built once per process, so no option set by one call
     # (``--base``, ``--json``, a failed parse) may reach the next

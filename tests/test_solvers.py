@@ -85,8 +85,7 @@ class TestSimplexFrozen:
         # min x + y  s.t.  x + 2y >= 4,  3x + y >= 6,  x, y >= 0
         lp = LinearProgram(
             [F(1), F(1)],
-            [([F(1), F(2)], GE, F(4)), ([F(3), F(1)], GE, F(6))],
-            [(F(0), None), (F(0), None)],
+            [({0: F(1), 1: F(2)}, GE, F(4)), ({0: F(3), 1: F(1)}, GE, F(6))],
         )
         value, x = simplex_solve(lp)
         assert value == F(14, 5)
@@ -96,33 +95,44 @@ class TestSimplexFrozen:
         # min 2x - y  s.t.  x + y == 3,  x - y <= 1,  x >= 0, y free
         lp = LinearProgram(
             [F(2), F(-1)],
-            [([F(1), F(1)], EQ, F(3)), ([F(1), F(-1)], LE, F(1))],
-            [(F(0), None), (None, None)],
+            [({0: F(1), 1: F(1)}, EQ, F(3)), ({0: F(1), 1: F(-1)}, LE, F(1))],
+            free=[1],
         )
         value, x = simplex_solve(lp)
         assert value == F(-3)
         assert x == [F(0), F(3)]
 
+    def test_nonnegative_unless_free(self):
+        assert simplex_solve(LinearProgram([F(1)], [])) == (F(0), [F(0)])
+        with pytest.raises(UnboundedError):
+            simplex_solve(LinearProgram([F(1)], [], free=[0]))
+
     def test_box_bounds(self):
-        # min -x - 2y  s.t.  x + y <= 6,  x in [0, 5], y in [1, 3]
+        # min -x - 2y  s.t.  x + y <= 6,  x <= 5,  1 <= y <= 3,  x, y >= 0
         lp = LinearProgram(
             [F(-1), F(-2)],
-            [([F(1), F(1)], LE, F(6))],
-            [(F(0), F(5)), (F(1), F(3))],
+            [
+                ({0: F(1), 1: F(1)}, LE, F(6)),
+                ({0: F(1)}, LE, F(5)),
+                ({1: F(1)}, GE, F(1)),
+                ({1: F(1)}, LE, F(3)),
+            ],
         )
         value, x = simplex_solve(lp)
         assert value == F(-9)
         assert x == [F(3), F(3)]
 
     def test_upper_bound_only(self):
-        # min -x with x <= -2: pushed to the bound from below
-        lp = LinearProgram([F(-1)], [], [(None, F(-2))])
+        # min -x over a free x <= -2: pushed to the bound from below
+        lp = LinearProgram([F(-1)], [({0: F(1)}, LE, F(-2))], free=[0])
         value, x = simplex_solve(lp)
         assert value == F(2)
         assert x == [F(-2)]
 
     def test_upper_bound_with_floor_row(self):
-        lp = LinearProgram([F(1)], [([F(1)], GE, F(-10))], [(None, F(-2))])
+        lp = LinearProgram(
+            [F(1)], [({0: F(1)}, GE, F(-10)), ({0: F(1)}, LE, F(-2))], free=[0]
+        )
         value, x = simplex_solve(lp)
         assert value == F(-10)
         assert x == [F(-10)]
@@ -130,8 +140,7 @@ class TestSimplexFrozen:
     def test_redundant_equalities(self):
         lp = LinearProgram(
             [F(1), F(0)],
-            [([F(1), F(1)], EQ, F(2)), ([F(2), F(2)], EQ, F(4))],
-            [(F(0), None), (F(0), None)],
+            [({0: F(1), 1: F(1)}, EQ, F(2)), ({0: F(2), 1: F(2)}, EQ, F(4))],
         )
         value, x = simplex_solve(lp)
         assert value == F(0)
@@ -139,23 +148,22 @@ class TestSimplexFrozen:
 
     def test_unbounded(self):
         with pytest.raises(UnboundedError):
-            simplex_solve(LinearProgram([F(-1)], [], [(F(0), None)]))
+            simplex_solve(LinearProgram([F(-1)], []))
 
     def test_infeasible_row(self):
-        lp = LinearProgram([F(1)], [([F(1)], LE, F(-1))], [(F(0), None)])
+        lp = LinearProgram([F(1)], [({0: F(1)}, LE, F(-1))])
         with pytest.raises(InfeasibleError):
             simplex_solve(lp)
 
     def test_contradictory_bounds(self):
-        lp = LinearProgram([F(1)], [], [(F(2), F(1))])
+        # 2 <= x <= 1
+        lp = LinearProgram([F(1)], [({0: F(1)}, GE, F(2)), ({0: F(1)}, LE, F(1))])
         with pytest.raises(InfeasibleError):
             simplex_solve(lp)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearProgram([F(1)], [([F(1), F(2)], LE, F(0))], [(F(0), None)])
-        with pytest.raises(ValueError):
-            LinearProgram([F(1)], [([F(1)], "<", F(0))], [(F(0), None)])
+        with pytest.raises(ValueError, match="unknown relation"):
+            LinearProgram([F(1)], [({0: F(1)}, "<", F(0))])
 
     def test_mapping_row_validation(self):
         for key, error in ((True, ValueError), (-1, IndexError), (2, IndexError)):
@@ -186,7 +194,8 @@ def _solve_square(rows, rhs):
 
 @st.composite
 def box_lps(draw):
-    """Bounded, feasible LPs: box bounds plus <= rows that keep 0 feasible."""
+    """Bounded, feasible LPs over ``x >= 0``: ``<=`` rows that keep 0
+    feasible, then the box ``x_j <= u_j`` as rows."""
     nvars = draw(st.integers(2, 3))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
     objective = [draw(coeff) for _ in range(nvars)]
@@ -194,11 +203,11 @@ def box_lps(draw):
     nrows = draw(st.integers(0, 3))
     constraints = []
     for _ in range(nrows):
-        row = [draw(coeff) for _ in range(nvars)]
+        row = {j: draw(coeff) for j in range(nvars)}
         rhs = F(draw(st.integers(0, 6)))
         constraints.append((row, LE, rhs))
-    bounds = [(F(0), u) for u in uppers]
-    return LinearProgram(objective, constraints, bounds)
+    constraints += [({j: F(1)}, LE, u) for j, u in enumerate(uppers)]
+    return LinearProgram(objective, constraints)
 
 
 class TestSimplexAgainstVertexEnumeration:
@@ -208,31 +217,26 @@ class TestSimplexAgainstVertexEnumeration:
         value, x = simplex_solve(lp)
         rows = [(dense_row(row, nvars), rhs) for row, _, rhs in lp.constraints]
 
+        def feasible(point):
+            return all(p >= 0 for p in point) and all(
+                sum(a * b for a, b in zip(row, point)) <= rhs for row, rhs in rows
+            )
+
         # returned point must be feasible and price out to the value
-        for row, rhs in rows:
-            assert sum(a * b for a, b in zip(row, x)) <= rhs
-        for xi, (lo, hi) in zip(x, lp.bounds):
-            assert lo <= xi <= hi
+        assert feasible(x)
         assert sum(a * b for a, b in zip(lp.objective, x)) == value
 
-        # enumerate all basic points: nvars active constraints at a time
+        # enumerate all basic points: nvars active constraints at a time,
+        # each a row or an x_j >= 0
         equations = list(rows)
         for i in range(nvars):
             unit = [F(0)] * nvars
             unit[i] = F(1)
-            equations.append((list(unit), lp.bounds[i][0]))
-            equations.append((list(unit), lp.bounds[i][1]))
+            equations.append((unit, F(0)))
         best = None
         for combo in itertools.combinations(equations, nvars):
             point = _solve_square([r for r, _ in combo], [b for _, b in combo])
-            if point is None:
-                continue
-            ok = all(
-                sum(a * b for a, b in zip(row, point)) <= rhs for row, rhs in rows
-            ) and all(
-                lo <= pi <= hi for pi, (lo, hi) in zip(point, lp.bounds)
-            )
-            if ok:
+            if point is not None and feasible(point):
                 cand = sum(a * b for a, b in zip(lp.objective, point))
                 if best is None or cand < best:
                     best = cand
@@ -254,32 +258,34 @@ def same_as_reference(lp):
     assert type(value) is F and all(type(v) is F for v in x)
 
 
-BOUND_KINDS = ("lo", "hi", "box", "free")
+BOUND_KINDS = ("lo", "hi", "box", "none")
 
 
 @st.composite
 def mixed_lps(draw, coeff=small, kinds=BOUND_KINDS):
-    """Any relation, any bound kind; may be infeasible or unbounded."""
+    """Any relation; each variable nonnegative or free, and bounded below,
+    above, both or neither by rows after the others; may be infeasible
+    or unbounded."""
     nvars = draw(st.integers(1, 4))
     objective = [draw(coeff) for _ in range(nvars)]
     relation = st.sampled_from((LE, EQ, GE))
     constraints = [
-        ([draw(coeff) for _ in range(nvars)], draw(relation), draw(coeff))
+        ({j: draw(coeff) for j in range(nvars)}, draw(relation), draw(coeff))
         for _ in range(draw(st.integers(0, 4)))
     ]
-    bounds = []
-    for _ in range(nvars):
+    free = []
+    for j in range(nvars):
+        if draw(st.booleans()):
+            free.append(j)
         kind = draw(st.sampled_from(kinds))
         lo, hi = draw(coeff), draw(coeff)
         if kind == "box":
             lo, hi = min(lo, hi), max(lo, hi)
-        bounds.append(
-            (
-                lo if kind in ("lo", "box") else None,
-                hi if kind in ("hi", "box") else None,
-            )
-        )
-    return LinearProgram(objective, constraints, bounds)
+        if kind in ("lo", "box"):
+            constraints.append(({j: F(1)}, GE, lo))
+        if kind in ("hi", "box"):
+            constraints.append(({j: F(1)}, LE, hi))
+    return LinearProgram(objective, constraints, free)
 
 
 @st.composite
@@ -295,15 +301,17 @@ def degenerate_lps(draw):
     )
     entry = st.sampled_from((F(0), F(1), F(1), F(2)))
     constraints = [
-        ([draw(entry) for _ in range(nvars)], relation, F(1)) for _ in range(nvars)
+        ({j: draw(entry) for j in range(nvars)}, relation, F(1))
+        for _ in range(nvars)
     ]
     objective = [draw(st.sampled_from(costs)) for _ in range(nvars)]
-    return LinearProgram(objective, constraints, [(F(0), None)] * nvars)
+    return LinearProgram(objective, constraints)
 
 
 @st.composite
 def redundant_equality_lps(draw):
-    """Feasible equality systems padded with combinations of their rows."""
+    """Feasible equality systems padded with combinations of their rows,
+    over the box ``0 <= x_j <= 5``."""
     nvars = draw(st.integers(2, 4))
     point = [draw(st.integers(0, 3)) for _ in range(nvars)]
     base = [[draw(small) for _ in range(nvars)] for _ in range(draw(st.integers(1, 3)))]
@@ -312,11 +320,15 @@ def redundant_equality_lps(draw):
         a, b = draw(small), draw(small)
         i, j = draw(st.integers(0, len(base) - 1)), draw(st.integers(0, len(base) - 1))
         rows.append([a * u + b * v for u, v in zip(base[i], base[j])])
-    constraints = [(row, EQ, sum(c * p for c, p in zip(row, point))) for row in rows]
+    constraints = [
+        (dict(enumerate(row)), EQ, sum(c * p for c, p in zip(row, point)))
+        for row in rows
+    ]
     relation = draw(st.sampled_from((EQ, GE)))
-    constraints.append(([F(1)] * nvars, relation, F(sum(point))))
+    constraints.append((dict.fromkeys(range(nvars), F(1)), relation, F(sum(point))))
     objective = [draw(small) for _ in range(nvars)]
-    return LinearProgram(objective, constraints, [(F(0), F(5))] * nvars)
+    constraints += [({j: F(1)}, LE, F(5)) for j in range(nvars)]
+    return LinearProgram(objective, constraints)
 
 
 class TestSimplexAgainstReference:
@@ -352,11 +364,10 @@ class TestSimplexAgainstReference:
         lp = LinearProgram(
             [F(-3, 4), F(20), F(-1, 2), F(6)],
             [
-                ([F(1, 4), F(-8), F(-1), F(9)], LE, F(0)),
-                ([F(1, 2), F(-12), F(-1, 2), F(3)], LE, F(0)),
-                ([F(0), F(0), F(1), F(0)], LE, F(1)),
+                ({0: F(1, 4), 1: F(-8), 2: F(-1), 3: F(9)}, LE, F(0)),
+                ({0: F(1, 2), 1: F(-12), 2: F(-1, 2), 3: F(3)}, LE, F(0)),
+                ({2: F(1)}, LE, F(1)),
             ],
-            [(F(0), None)] * 4,
         )
         optimum = (F(-5, 4), [F(1), F(0), F(1), F(0)])
         assert simplex_solve(lp) == reference_simplex(lp) == optimum
@@ -364,21 +375,22 @@ class TestSimplexAgainstReference:
     @pytest.mark.parametrize(
         "lp,error",
         [
-            (LinearProgram([F(-1)], [], [(F(0), None)]), UnboundedError),
+            (LinearProgram([F(-1)], []), UnboundedError),
             (
-                LinearProgram([F(1), F(-1)], [([F(1), F(-1)], LE, F(1))]),
+                LinearProgram(
+                    [F(1), F(-1)], [({0: F(1), 1: F(-1)}, LE, F(1))], free=[0, 1]
+                ),
                 UnboundedError,
             ),
+            (LinearProgram([F(1)], [({0: F(1)}, LE, F(-1))]), InfeasibleError),
             (
-                LinearProgram([F(1)], [([F(1)], LE, F(-1))], [(F(0), None)]),
+                LinearProgram([F(1)], [({0: F(1)}, GE, F(2)), ({0: F(1)}, LE, F(1))]),
                 InfeasibleError,
             ),
-            (LinearProgram([F(1)], [], [(F(2), F(1))]), InfeasibleError),
             (
                 LinearProgram(
                     [F(0), F(0)],
-                    [([F(1), F(1)], EQ, F(1)), ([F(2), F(2)], EQ, F(3))],
-                    [(F(0), None)] * 2,
+                    [({0: F(1), 1: F(1)}, EQ, F(1)), ({0: F(2), 1: F(2)}, EQ, F(3))],
                 ),
                 InfeasibleError,
             ),
@@ -400,7 +412,8 @@ def solved(solve, lp):
 
 
 class TestSparseRows:
-    """A row given densely or as a mapping is one row to the simplex."""
+    """A row given densely, with every column as a key, or with its keys
+    in any order and any explicit zeros, is one row to the simplex."""
 
     @pytest.mark.parametrize(
         "lps",
@@ -419,8 +432,11 @@ class TestSparseRows:
         zeros = data.draw(st.sets(st.integers(0, nvars - 1)))
         dense = LinearProgram(
             lp.objective,
-            [(dense_row(row, nvars), rel, rhs) for row, rel, rhs in lp.constraints],
-            lp.bounds,
+            [
+                (dict(enumerate(dense_row(row, nvars))), rel, rhs)
+                for row, rel, rhs in lp.constraints
+            ],
+            lp.free,
         )
         # keys in reverse column order, with explicit zeros
         keys = range(nvars - 1, -1, -1)
@@ -430,7 +446,7 @@ class TestSparseRows:
                 ({j: row.get(j, 0) for j in keys if j in row or j in zeros}, rel, rhs)
                 for row, rel, rhs in lp.constraints
             ],
-            lp.bounds,
+            lp.free,
         )
         assert dense.constraints == mapping.constraints == lp.constraints
         expected = solved(reference_simplex, lp)
@@ -445,7 +461,8 @@ def seeded_instance(seed: int, n: int):
 
 
 class TestCertificatesAgainstReference:
-    """Dual certificates and quotient representatives do not move."""
+    """Dual certificates, quotient representatives and the transportation
+    LP's optimum do not move."""
 
     @pytest.mark.parametrize("seed,n", [(0, 6), (1, 8), (2, 9), (3, 11), (4, 12)])
     def test_dual_and_quotient(self, seed, n, monkeypatch):
@@ -458,6 +475,21 @@ class TestCertificatesAgainstReference:
         monkeypatch.setattr(quotient, "simplex_solve", reference_simplex)
         assert duality.dual_optimal(space, f) == (h, value)
         q_ref, rep_ref = quotient.quotient_norm(space, lifted)
+        assert q_ref == q_value
+        assert rep_ref.entries == rep.entries
+
+    @pytest.mark.parametrize("seed,n", [(0, 6), (1, 8), (2, 9), (3, 11), (4, 12)])
+    def test_brute_force_and_oriented_quotient(self, seed, n, monkeypatch):
+        space, f = seeded_instance(seed, n)
+        lifted = quotient.lift_plan(transport.tc_norm(space, f)[1], n)
+        rng = random.Random(seed)
+        orientation = {e: rng.choice((1, -1)) for e in quotient.all_edges(n)}
+        brute = transport.tc_brute_force(space, f)
+        q_value, rep = quotient.quotient_norm(space, lifted, orientation)
+        monkeypatch.setattr(transport, "simplex_solve", reference_simplex)
+        monkeypatch.setattr(quotient, "simplex_solve", reference_simplex)
+        assert transport.tc_brute_force(space, f) == brute
+        q_ref, rep_ref = quotient.quotient_norm(space, lifted, orientation)
         assert q_ref == q_value
         assert rep_ref.entries == rep.entries
 
@@ -520,7 +552,7 @@ class TestCostRow:
         redundant.  The phase-1 cost row (row 2) leaves with it, and the
         phase-2 cost row is row 1, after the one row that is left."""
         bits = bit_recording(monkeypatch)
-        lp = LinearProgram([1], [([1], EQ, 1), ([2], EQ, 2)], [(0, None)])
+        lp = LinearProgram([1], [({0: 1}, EQ, 1), ({0: 2}, EQ, 2)])
         assert simplex_solve(lp) == (1, [1])
         updated = [i for i, _ in bits["_eliminate"]]
         assert updated[:2] == [2, 2] and updated[-1] == 1
@@ -623,7 +655,7 @@ class TestUncapacitatedArcs:
 
 
 class TestFlowAgainstSimplex:
-    """The kernel's optimum equals the LP's with every arc in ``(0, None)``."""
+    """The kernel's optimum equals the LP's over nonnegative arc flows."""
 
     @given(flow_instances())
     def test_routes_agree(self, instance):
@@ -639,18 +671,17 @@ class TestFlowAgainstSimplex:
 
     @staticmethod
     def check_against_simplex(supplies, arcs):
-        nvars = len(arcs)
         objective = [cost for _, _, cost in arcs]
         constraints = []
         for v, supply in enumerate(supplies):
-            row = [F(0)] * nvars
-            for k, (tail, head, _) in enumerate(arcs):
-                if tail == v:
-                    row[k] += F(1)
-                if head == v:
-                    row[k] -= F(1)
+            # every arc joins two distinct nodes
+            row = {
+                k: F(1) if tail == v else F(-1)
+                for k, (tail, head, _) in enumerate(arcs)
+                if v in (tail, head)
+            }
             constraints.append((row, EQ, supply))
-        lp = LinearProgram(objective, constraints, [(F(0), None)] * nvars)
+        lp = LinearProgram(objective, constraints)
         lp_cost, _ = simplex_solve(lp)
         scale, cost_scale, int_supplies, int_arcs = as_int_instance(supplies, arcs)
         total, int_flows = min_cost_flow(int_supplies, int_arcs)
